@@ -57,6 +57,7 @@ done
 # jq). Runs in a scratch dir so the committed BENCH_PR*.json series is
 # untouched; the committed series itself is then checked at the repo root.
 echo "==> bench smoke: experiments bench --quick + --check"
+cargo build -q -p lcm-bench --release --bin experiments
 BENCH_BIN="$(pwd)/target/release/experiments"
 (cd "$SMOKE" && "$BENCH_BIN" bench --quick > /dev/null && "$BENCH_BIN" bench --check)
 echo "==> bench series check: committed BENCH_PR*.json"
@@ -101,12 +102,10 @@ cargo run -q --release --bin lcmopt -- --validate=full \
 diff testdata/memory_alias.lcm "$SMOKE/memalias.out"
 
 # Watch smoke: an edit stream through `lcmopt watch` must track the file
-# and answer byte-identically to a one-shot batch of each revision. Three
-# scripted edits cover the incremental tiers: a pure content edit takes
-# the delta path, a byte-different parse-identical rewrite replays the
-# zero-dirty output memo ("0 dirty" on stderr, output bytes unchanged),
-# and a universe-growing edit (new expression) stays on the delta path
-# instead of falling back (PR 10 widening).
+# and answer byte-identically to a one-shot batch of each revision. The
+# output memo is the only reuse: an edited function recomputes, and a
+# function the save left untouched (including a byte-different but
+# parse-identical rewrite) replays its zero-dirty memo.
 echo "==> watch smoke: scripted edits, output diffed vs one-shot batch"
 LCMOPT="$(pwd)/target/release/lcmopt"
 WFILE="$SMOKE/watched.lcm"
@@ -149,16 +148,14 @@ entry:
   ret
 }
 EOT
-# Revision 1: a content edit in `join` (kills `a + b` downstream) that
-# leaves the CFG shape and expression universe untouched — the canonical
-# delta-path edit, same pair tests/watch.rs pins.
+# Revision 1: a content edit in `join` (kills `a + b` downstream), the
+# same pair tests/watch.rs pins.
 awk '{ print } /y = a \+ b/ { print "  a = 1" }' "$SMOKE/rev0.lcm" \
   > "$SMOKE/rev1.lcm"
 # Revision 2: byte-different but parse-identical (one trailing blank
 # line). Both functions must replay the zero-dirty output memo.
 { cat "$SMOKE/rev1.lcm"; echo; } > "$SMOKE/rev2.lcm"
-# Revision 3: a universe-growing edit — `p + q` is a new expression in
-# `straight` — which PR 10's widening keeps on the delta path.
+# Revision 3: an edit to `straight` that adds a new expression `p + q`.
 awk '{ print } /x = p \* q/ { print "  w = p + q"; print "  obs w" }' \
   "$SMOKE/rev2.lcm" > "$SMOKE/rev3.lcm"
 cp "$SMOKE/rev0.lcm" "$WFILE"
@@ -174,24 +171,27 @@ while [ ! -s "$SMOKE/watch.out" ] && [ "$i" -lt 100 ]; do i=$((i + 1)); sleep 0.
 diff "$SMOKE/watch.out" "$SMOKE/rev0.batch"
 "$LCMOPT" batch "$SMOKE/rev1.lcm" --emit text > "$SMOKE/rev1.batch" 2>/dev/null
 "$LCMOPT" batch "$SMOKE/rev3.lcm" --emit text > "$SMOKE/rev3.batch" 2>/dev/null
-# Edit 1: content delta on fn d, memo replay on untouched fn straight.
+# Edit 1: fn d recomputes, untouched fn straight replays its memo.
 publish "$SMOKE/rev1.lcm"
 wait_iter 1
 wait_out "$SMOKE/rev1.batch"
-grep -q "watch\[1\]: fn d: delta, 1 dirty" "$SMOKE/watch.log"
-# Edit 2: no-op rewrite — both functions report "0 dirty" memo replays
-# and the output file stays byte-identical to revision 1's.
+grep -q "watch\[1\]: fn d: recomputed$" "$SMOKE/watch.log"
+grep -q "watch\[1\]: fn straight: zero-dirty$" "$SMOKE/watch.log"
+# Edit 2: no-op rewrite — both functions replay their memos and the
+# output file stays byte-identical to revision 1's.
 publish "$SMOKE/rev2.lcm"
 wait_iter 2
-grep -q "watch\[2\]: fn d: zero-dirty, 0 dirty" "$SMOKE/watch.log"
-grep -q "watch\[2\]: fn straight: zero-dirty, 0 dirty" "$SMOKE/watch.log"
+grep -q "watch\[2\]: fn d: zero-dirty$" "$SMOKE/watch.log"
+grep -q "watch\[2\]: fn straight: zero-dirty$" "$SMOKE/watch.log"
 diff "$SMOKE/watch.out" "$SMOKE/rev1.batch"
-# Edit 3: universe growth must be a delta solve, never a fallback.
+# Edit 3: now fn straight recomputes and fn d replays.
 publish "$SMOKE/rev3.lcm"
 wait "$WATCH_PID"
 wait_out "$SMOKE/rev3.batch"
-grep -q "watch\[3\]: fn straight: delta, 1 dirty" "$SMOKE/watch.log"
-grep -q "watch\[3\]:.* 1 universe-grow, .* 0 fallback" "$SMOKE/watch.log"
+grep -q "watch\[3\]: fn straight: recomputed$" "$SMOKE/watch.log"
+grep -q "watch\[3\]: fn d: zero-dirty$" "$SMOKE/watch.log"
+grep -q "watch\[3\]: 2 ok, 0 failed; session: 4 zero-dirty, 2 recomputed;" \
+  "$SMOKE/watch.log"
 
 # Serve smoke: the daemon must answer byte-identically to batch, survive a
 # SIGKILL crash (the write-behind cache file either loads or quarantines,
@@ -220,16 +220,17 @@ while [ ! -S "$SOCK" ] && [ "$i" -lt 100 ]; do i=$((i + 1)); sleep 0.1; done
 diff "$SMOKE/text.j1" "$SMOKE/daemon.warm"
 grep -Eq "cache file (loaded|refused)" "$SMOKE/serve2.log"
 "$LCMOPT" request --socket "$SOCK" --stats | grep -q "^lifetime:"
-# The daemon's incremental hot path: re-sending an edited module must
-# delta-solve against the fixpoints retained from the previous revision
-# and report the hits, not pay a fresh solve. The edit-class ledger in
-# --stats classifies the resend: fn d was a content edit, fn straight
-# was byte-identical and replayed the zero-dirty output memo.
-"$LCMOPT" request --socket "$SOCK" "$SMOKE/rev0.lcm" > /dev/null
-"$LCMOPT" request --socket "$SOCK" "$SMOKE/rev1.lcm" > /dev/null
+# The daemon's output memo: re-sending an edited module must recompute
+# the edited function (counted as `fallback`, the field name load
+# generators parse) and replay the untouched one from the zero-dirty
+# memo, answering byte-identically to a one-shot batch either way.
+"$LCMOPT" request --socket "$SOCK" "$SMOKE/rev0.lcm" > "$SMOKE/daemon.rev0"
+diff "$SMOKE/daemon.rev0" "$SMOKE/rev0.batch"
+"$LCMOPT" request --socket "$SOCK" "$SMOKE/rev1.lcm" > "$SMOKE/daemon.rev1"
+diff "$SMOKE/daemon.rev1" "$SMOKE/rev1.batch"
 "$LCMOPT" request --socket "$SOCK" --stats > "$SMOKE/serve.stats"
-grep -Eq "^incremental: [1-9][0-9]* hits" "$SMOKE/serve.stats"
-grep -Eq "^edit classes: 1 content, .* 1 zero-dirty$" "$SMOKE/serve.stats"
+grep -Eq "^incremental: 0 hits" "$SMOKE/serve.stats"
+grep -Eq "^edit classes: 1 fallback, 1 zero-dirty$" "$SMOKE/serve.stats"
 "$LCMOPT" request --socket "$SOCK" --shutdown
 wait "$SERVE_PID"
 

@@ -1207,18 +1207,13 @@ fn bench(quick: bool) {
         oln!("  jobs {jobs}: {fps:>10.1}");
     }
 
-    // Incremental vs fresh on a *watch-shaped* workload: a module of K
-    // functions re-optimized across R revisions, each revision a seeded
-    // content edit to exactly one function. That is the shape `lcmopt
-    // watch` and the daemon actually see — one file changes, the rest of
-    // the module rides along — so the warm engine answers K-1 units per
-    // revision from the zero-dirty output memo and delta-solves the one
-    // edited function (widening through universe growth instead of
-    // falling back), while the cold baseline pays K fresh solves. The
-    // corpus is larger-bodied than the batch one: solver cost is what the
-    // delta path saves, and on small functions it vanishes under the
-    // pipeline's fixed tail (validation, cleanup, printing) — which the
-    // row now reports separately as solve vs tail nanoseconds.
+    // Memo reuse on a *watch-shaped* workload: a module of K functions
+    // re-optimized across R revisions, each revision a seeded content
+    // edit to exactly one function. That is the shape `lcmopt watch` and
+    // the daemon actually see — one function changes, the rest of the
+    // module rides along — so the warm engine replays K-1 units per
+    // revision from the zero-dirty output memo and recomputes the edited
+    // one, while the cold baseline pays K pipeline runs.
     let (inc_block_size, inc_n_fns, inc_revs) = if quick { (120, 6, 6) } else { (240, 24, 24) };
     let inc_corpus = sized_corpus(inc_block_size, inc_n_fns);
     let inc_opts = BatchOptions {
@@ -1252,10 +1247,8 @@ fn bench(quick: bool) {
         .collect();
     let inc_units = inc_revs * inc_n_fns;
     let mut fresh_best = f64::MAX;
-    let mut delta_best = f64::MAX;
-    let (mut delta_hits, mut delta_rows) = (0u64, 0u64);
-    let mut watch_classes = lcm_driver::EditClassCounters::default();
-    let mut phases = lcm_core::PhaseNanos::default();
+    let mut warm_best = f64::MAX;
+    let mut memo = lcm_driver::MemoStats::default();
     for _ in 0..batch_reps.max(2) {
         let t0 = Instant::now();
         for m in &revisions {
@@ -1266,16 +1259,14 @@ fn bench(quick: bool) {
         fresh_best = fresh_best.min(t0.elapsed().as_secs_f64());
 
         let mut engine = BatchEngine::new(inc_opts);
-        engine.run_module_incremental(&base_m); // warm-up: retain fixpoints
+        engine.run_module_incremental(&base_m); // warm-up: fill the memo
         let t0 = Instant::now();
         for m in &revisions {
             let r = engine.run_module_incremental(m);
             assert!(r.iter().all(|u| u.outcome.is_ok()));
         }
-        delta_best = delta_best.min(t0.elapsed().as_secs_f64());
-        (delta_hits, delta_rows) = engine.incremental_session();
-        watch_classes = engine.edit_classes();
-        phases = engine.incremental_phases();
+        warm_best = warm_best.min(t0.elapsed().as_secs_f64());
+        memo = engine.memo_stats();
     }
     // The answers must agree, revision by revision, before the ratio
     // means anything.
@@ -1287,74 +1278,30 @@ fn bench(quick: bool) {
             assert_eq!(
                 lcm_driver::report::render_incremental_text(&warm.run_module_incremental(m)),
                 lcm_driver::report::render_incremental_text(&cold.run_module_incremental(m)),
-                "delta re-optimization diverged from fresh at revision {r}"
+                "memoized re-optimization diverged from fresh at revision {r}"
             );
         }
     }
     let inc_fresh_fps = inc_units as f64 / fresh_best;
-    let inc_delta_fps = inc_units as f64 / delta_best;
-    let full_rows: u64 = inc_revs as u64
-        * base_m
-            .iter()
-            .map(|f| 3 * f.num_blocks() as u64)
-            .sum::<u64>();
+    let inc_warm_fps = inc_units as f64 / warm_best;
     oln!(
         "incremental re-optimization (watch-shaped, {inc_n_fns} functions x {inc_revs} revisions): \
-         fresh {inc_fresh_fps:.1} fn/s vs warm {inc_delta_fps:.1} fn/s ({:.2}x); \
-         {delta_hits} delta hits, {delta_rows} of {full_rows} block rows re-solved; \
-         warm split: solve {:.1} ms / tail {:.1} ms; edits: {watch_classes}",
-        inc_delta_fps / inc_fresh_fps,
-        phases.solve_ns as f64 / 1e6,
-        phases.tail_ns as f64 / 1e6,
+         fresh {inc_fresh_fps:.1} fn/s vs warm {inc_warm_fps:.1} fn/s ({:.2}x); \
+         {} memo hits, {} recomputed",
+        inc_warm_fps / inc_fresh_fps,
+        memo.hits,
+        memo.recomputes,
     );
 
-    // The edit-class ledger: a seeded random-edit sweep over one-function
-    // revisions with PR 9's edit mix (20% shape edits), classifying every
-    // edit by the path that answered it. PR 9 forced a full solve on
-    // every universe-shifting content edit *and* every shape edit (~25%
-    // of random edits); now only the unmapped shape edits (parallel-edge
-    // rewrites and multi-block changes) fall back, and the ledger is the
-    // honest measurement of that residue.
-    let sweep_fns = if quick { 8 } else { 16 };
-    let sweep_steps = if quick { 48 } else { 192 };
-    let mut sweep_engine = BatchEngine::new(inc_opts);
-    let mut sweep_cur: Vec<_> = sized_corpus(30, sweep_fns)
-        .iter()
-        .enumerate()
-        .map(|(i, f)| {
-            let mut f = f.clone();
-            f.name = format!("s{i}");
-            f
-        })
-        .collect();
-    for f in &sweep_cur {
-        sweep_engine.run_module_incremental(&module_of(std::slice::from_ref(f)));
-    }
-    let mut rng = lcm_cfggen::seeded(0x5EE0_C1A5);
-    for step in 0..sweep_steps {
-        let idx = step % sweep_fns;
-        lcm_cfggen::mutate_function(&mut sweep_cur[idx], &mut rng, 0.2);
-        let r =
-            sweep_engine.run_module_incremental(&module_of(std::slice::from_ref(&sweep_cur[idx])));
-        assert!(r.iter().all(|u| u.outcome.is_ok()));
-    }
-    let classes = sweep_engine.edit_classes();
-    let edited = (classes.total() - classes.zero_dirty).max(1);
-    let fallback_rate = classes.fallback as f64 / edited as f64;
-    oln!(
-        "edit-class ledger ({edited} random edits, 20% shape): {classes}; \
-         fallback rate {:.1}% (PR 9 fell back on every universe shift and shape edit, ~25%)",
-        fallback_rate * 100.0
-    );
-
-    // The row-kernel split: per-word cost of the fused union kernel below
-    // and above the tiled-dispatch threshold. Narrow rows (the common
-    // case) take the plain 4-word unroll; wide rows (>= 2048-bit
-    // universes) take the tiled variant with per-lane change accumulators.
-    let kernel_ns = |words: usize| -> f64 {
-        let src: Vec<u64> = (0..words as u64).map(|i| i.wrapping_mul(0x9E37)).collect();
-        let mut dst = vec![0u64; words];
-        let kernel_reps = 4_000_000 / words.max(1);
+    // The row-kernel cost: per-word time of the fused union kernel (the
+    // 4-word unroll every solver meet runs) on a 16-word row.
+    let kernel_words = 16usize;
+    let kernel_ns_per_word = {
+        let src: Vec<u64> = (0..kernel_words as u64)
+            .map(|i| i.wrapping_mul(0x9E37))
+            .collect();
+        let mut dst = vec![0u64; kernel_words];
+        let kernel_reps = 4_000_000 / kernel_words;
         let mut samples = Vec::new();
         for _ in 0..reps {
             let t0 = Instant::now();
@@ -1364,18 +1311,11 @@ fn bench(quick: bool) {
                 changed += u64::from(lcm_dataflow::union_rows(&mut dst, &src));
             }
             std::hint::black_box(changed);
-            samples.push(t0.elapsed().as_nanos() as f64 / (kernel_reps * words) as f64);
+            samples.push(t0.elapsed().as_nanos() as f64 / (kernel_reps * kernel_words) as f64);
         }
         median_ns(samples)
     };
-    let narrow_words = lcm_dataflow::WIDE_ROW_WORDS / 2;
-    let wide_words = lcm_dataflow::WIDE_ROW_WORDS * 8;
-    let kernel_narrow_ns = kernel_ns(narrow_words);
-    let kernel_wide_ns = kernel_ns(wide_words);
-    oln!(
-        "row kernel (ns/word): unrolled ({narrow_words} words) {kernel_narrow_ns:.3}, \
-         tiled ({wide_words} words) {kernel_wide_ns:.3}"
-    );
+    oln!("row kernel (ns/word): unrolled ({kernel_words} words) {kernel_ns_per_word:.3}");
 
     // The `--placement spec` row: the same corpus with synthetic profiles
     // attached, driven through the min-cut speculative planner. The adopt
@@ -1480,22 +1420,13 @@ fn bench(quick: bool) {
     }
     j.push_str(" },\n");
     j.push_str(&format!(
-        "  \"incremental\": {{ \"functions\": {inc_n_fns}, \"revisions\": {inc_revs}, \"fresh_fps\": {inc_fresh_fps:.1}, \"delta_fps\": {inc_delta_fps:.1}, \"delta_speedup\": {:.2}, \"delta_hits\": {delta_hits}, \"delta_rows\": {delta_rows}, \"full_rows\": {full_rows}, \"solve_ns\": {}, \"tail_ns\": {}, \"zero_dirty\": {} }},\n",
-        inc_delta_fps / inc_fresh_fps,
-        phases.solve_ns,
-        phases.tail_ns,
-        watch_classes.zero_dirty
+        "  \"incremental\": {{ \"functions\": {inc_n_fns}, \"revisions\": {inc_revs}, \"fresh_fps\": {inc_fresh_fps:.1}, \"warm_fps\": {inc_warm_fps:.1}, \"warm_speedup\": {:.2}, \"zero_dirty\": {}, \"recomputed\": {} }},\n",
+        inc_warm_fps / inc_fresh_fps,
+        memo.hits,
+        memo.recomputes
     ));
     j.push_str(&format!(
-        "  \"edit_classes\": {{ \"edited\": {edited}, \"content\": {}, \"universe_grow\": {}, \"universe_shrink\": {}, \"shape_mapped\": {}, \"fallback\": {}, \"fallback_rate\": {fallback_rate:.3} }},\n",
-        classes.content,
-        classes.universe_grow,
-        classes.universe_shrink,
-        classes.shape_mapped,
-        classes.fallback
-    ));
-    j.push_str(&format!(
-        "  \"row_kernel\": {{ \"unrolled_words\": {narrow_words}, \"unrolled_ns_per_word\": {kernel_narrow_ns:.3}, \"tiled_words\": {wide_words}, \"tiled_ns_per_word\": {kernel_wide_ns:.3} }},\n"
+        "  \"row_kernel\": {{ \"unrolled_words\": {kernel_words}, \"unrolled_ns_per_word\": {kernel_ns_per_word:.3} }},\n"
     ));
     j.push_str(&format!(
         "  \"speculative\": {{ \"jobs\": {cores}, \"functions_per_second\": {spec_fps:.1}, \"candidates\": {spec_candidates}, \"speculated\": {spec_speculated} }},\n"
@@ -1636,51 +1567,23 @@ fn bench_check_file(name: &str, newest: bool) {
         if !text.contains("\"incremental\":") {
             fail("newest baseline must carry the \"incremental\" section".into());
         }
-        for key in ["fresh_fps", "delta_fps"] {
-            match num_after(&text, key) {
-                Some(v) if v > 0.0 => {}
-                other => fail(format!(
-                    "\"{key}\" must be positive in the incremental row, found {other:?}"
-                )),
-            }
-        }
-        if num_after(&text, "delta_hits").is_none() {
-            fail("missing numeric \"delta_hits\" in the incremental row".into());
-        }
-        match num_after(&text, "delta_speedup") {
+        match num_after(&text, "fresh_fps") {
             Some(v) if v > 0.0 => {}
             other => fail(format!(
-                "\"delta_speedup\" must be positive in the incremental row, found {other:?}"
+                "\"fresh_fps\" must be positive in the incremental row, found {other:?}"
             )),
         }
-        for key in ["solve_ns", "tail_ns"] {
-            match num_after(&text, key) {
-                Some(v) if v > 0.0 => {}
-                other => fail(format!(
-                    "\"{key}\" must be positive in the incremental row, found {other:?}"
-                )),
-            }
-        }
-        if !text.contains("\"edit_classes\":") {
-            fail("newest baseline must carry the \"edit_classes\" ledger".into());
-        }
-        for key in ["edited", "fallback_rate"] {
-            if num_after(&text, key).is_none() {
-                fail(format!(
-                    "missing numeric \"{key}\" in the edit-class ledger"
-                ));
-            }
+        if num_after(&text, "zero_dirty").is_none() {
+            fail("missing numeric \"zero_dirty\" in the incremental row".into());
         }
         if !text.contains("\"row_kernel\":") {
             fail("newest baseline must carry the \"row_kernel\" section".into());
         }
-        for key in ["unrolled_ns_per_word", "tiled_ns_per_word"] {
-            match num_after(&text, key) {
-                Some(v) if v > 0.0 => {}
-                other => fail(format!(
-                    "\"{key}\" must be positive in the row-kernel section, found {other:?}"
-                )),
-            }
+        match num_after(&text, "unrolled_ns_per_word") {
+            Some(v) if v > 0.0 => {}
+            other => fail(format!(
+                "\"unrolled_ns_per_word\" must be positive in the row-kernel section, found {other:?}"
+            )),
         }
     }
 }
@@ -1742,28 +1645,15 @@ fn bench_check(gate: Option<f64>) {
         if let (Some(n), Some(p)) = (jobs1(&new_text), jobs1(&prev_text)) {
             println!("  jobs=1 (j1): {p} -> {n} ({:+.1}%)", (n / p - 1.0) * 100.0);
         }
-        if let (Some(n), Some(p)) = (
-            num_after(&new_text, "delta_speedup"),
-            num_after(&prev_text, "delta_speedup"),
-        ) {
+        // The warm-vs-fresh incremental ratio, through its older
+        // `delta_speedup` spelling where a baseline predates memo-only
+        // reuse.
+        let speedup =
+            |t: &str| num_after(t, "warm_speedup").or_else(|| num_after(t, "delta_speedup"));
+        if let (Some(n), Some(p)) = (speedup(&new_text), speedup(&prev_text)) {
             println!(
-                "  delta_speedup: {p} -> {n} ({:+.1}%)",
+                "  warm_speedup: {p} -> {n} ({:+.1}%)",
                 (n / p - 1.0) * 100.0
-            );
-        }
-        if new_text.contains("\"edit_classes\":") {
-            let g = |k: &str| num_after(&new_text, k).unwrap_or(0.0);
-            println!(
-                "  edit classes ({} edited): {} content, {} universe-grow, \
-                 {} universe-shrink, {} shape-mapped, {} fallback \
-                 ({:.1}% fallback rate)",
-                g("edited"),
-                g("content"),
-                g("universe_grow"),
-                g("universe_shrink"),
-                g("shape_mapped"),
-                g("fallback"),
-                g("fallback_rate") * 100.0
             );
         }
         if let Some(pct) = gate {

@@ -1,14 +1,14 @@
 //! Seeded single-step mutations of existing functions — the edit-stream
-//! generator behind the incremental re-optimization corpus.
+//! generator behind the output-memo corpus and the `edit_stream`
+//! benchmark workload.
 //!
 //! A *content* edit changes what a block computes (replace an assignment's
 //! right-hand side, insert or delete an instruction, append a kill) while
-//! leaving the CFG shape — block count and successor lists — untouched, so
-//! the delta path of `lcm_core::optimize_incremental` stays applicable. A
+//! leaving the CFG shape — block count and successor lists — untouched. A
 //! *shape* edit adds a block (edge split) or an edge (a jump rewritten as
-//! a two-way branch with coinciding targets), exercising the full-solve
-//! fallback contract. Every edit keeps the function well-formed
-//! ([`lcm_ir::verify`]-clean) and is deterministic in the RNG stream.
+//! a two-way branch with coinciding targets). Every edit keeps the
+//! function well-formed ([`lcm_ir::verify`]-clean) and is deterministic in
+//! the RNG stream.
 
 use lcm_ir::{BinOp, BlockId, Expr, Function, Instr, Operand, Rvalue, Terminator, Var};
 
@@ -18,10 +18,9 @@ use crate::rng::Rng;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MutationKind {
     /// Block contents changed; the shape (blocks + successor lists) is
-    /// identical, so delta re-solving applies.
+    /// identical.
     Content,
-    /// A block or edge was added; incremental callers must fall back to a
-    /// full solve.
+    /// A block or edge was added.
     Shape,
 }
 
@@ -100,8 +99,8 @@ fn content_edit(f: &mut Function, rng: &mut Rng) -> MutationKind {
             }
             // Compose `v = x <op> y` from pooled variables with a random
             // operator — often a *brand-new* expression, growing the
-            // universe and exercising the incremental widening path. No
-            // new variables, so existing interning indices are stable.
+            // universe. No new variables, so existing interning indices
+            // are stable.
             3 if vars.len() >= 2 => {
                 let op = BinOp::ALL[rng.gen_range(0..BinOp::ALL.len())];
                 let x = vars[rng.gen_range(0..vars.len())];

@@ -240,7 +240,7 @@ impl GlobalAnalyses {
         Ok(Self::derive(f, uni, local, avail, antic))
     }
 
-    pub(crate) fn derive(
+    fn derive(
         f: &Function,
         uni: &ExprUniverse,
         local: &LocalPredicates,
@@ -267,7 +267,7 @@ impl GlobalAnalyses {
     }
 }
 
-pub(crate) fn earliest_on_edge(
+fn earliest_on_edge(
     uni: &ExprUniverse,
     local: &LocalPredicates,
     avail: &Solution,

@@ -124,7 +124,7 @@ pub fn lazy_edge_plan_with(
     Ok(derive_placement(f, uni, local, ga, solution))
 }
 
-pub(crate) fn derive_placement(
+fn derive_placement(
     f: &Function,
     uni: &ExprUniverse,
     local: &LocalPredicates,

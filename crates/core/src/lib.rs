@@ -57,7 +57,6 @@
 mod analyses;
 mod bcm;
 mod budget;
-mod incremental;
 mod lcm_edge;
 mod lcm_node;
 mod morel_renvoise;
@@ -83,10 +82,6 @@ pub use analyses::{
 };
 pub use bcm::busy_plan;
 pub use budget::{CancelReason, Cancelled, OptimizeBudget};
-pub use incremental::{
-    optimize_incremental, optimize_incremental_checked, optimize_incremental_checked_with,
-    IncrementalOutcome, IncrementalState, IncrementalStats, PhaseNanos,
-};
 pub use lcm_edge::{
     later_problem, lazy_edge_plan, lazy_edge_plan_in, lazy_edge_plan_with, LazyEdgeResult,
 };

@@ -69,27 +69,6 @@ impl LocalPredicates {
         }
     }
 
-    /// Recomputes the predicates of a single block in place — the
-    /// incremental path's "dirty block" repair. Equivalent to a full
-    /// [`compute`](Self::compute) restricted to `b`; the other blocks'
-    /// rows are untouched.
-    pub fn recompute_block(&mut self, f: &Function, universe: &ExprUniverse, b: BlockId) {
-        let i = b.index();
-        self.antloc[i] = universe.empty_set();
-        self.comp[i] = universe.empty_set();
-        self.transp[i] = universe.full_set();
-        scan_block(
-            f,
-            universe,
-            b,
-            &mut self.antloc,
-            &mut self.comp,
-            &mut self.transp,
-        );
-        self.kill[i] = self.transp[i].clone();
-        self.kill[i].complement();
-    }
-
     /// Renders one block's predicates, e.g. for figure tables.
     pub fn display_block(&self, f: &Function, universe: &ExprUniverse, b: BlockId) -> String {
         format!(

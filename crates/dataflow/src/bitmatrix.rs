@@ -232,52 +232,6 @@ impl BitMatrix {
         copy_row_changed(d, s)
     }
 
-    /// Overwrites the whole matrix from a same-shape source without
-    /// allocating — the bulk seed of a delta solve (previous fixpoint into
-    /// the scratch arena).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` has a different row count or row capacity.
-    pub fn copy_from(&mut self, other: &BitMatrix) {
-        assert_eq!(self.n_rows, other.n_rows, "row count mismatch");
-        assert_eq!(self.nbits, other.nbits, "row capacity mismatch");
-        self.words.copy_from_slice(&other.words);
-    }
-
-    /// Overwrites the matrix from a source with the same row count but a
-    /// row capacity **at most** this matrix's, zero-extending every row —
-    /// the universe-growth seed of a delta solve: retained fixpoint rows
-    /// widen in place and the new columns start at ⊥ (absent). The tail
-    /// words are cleared explicitly, so stale values from a previous solve
-    /// of the same shape can never leak into the new columns; the source's
-    /// own trailing-bit hygiene guarantees the partial last word is clean.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` has a different row count or a row capacity larger
-    /// than this matrix's.
-    pub fn copy_from_widened(&mut self, other: &BitMatrix) {
-        assert_eq!(self.n_rows, other.n_rows, "row count mismatch");
-        assert!(
-            other.nbits <= self.nbits,
-            "copy_from_widened requires a source no wider than the destination \
-             ({} > {})",
-            other.nbits,
-            self.nbits
-        );
-        if other.nbits == self.nbits {
-            self.words.copy_from_slice(&other.words);
-            return;
-        }
-        let src_w = other.words_per_row;
-        for r in 0..self.n_rows {
-            let dst = self.row_mut(r);
-            dst[..src_w].copy_from_slice(other.row(r));
-            dst[src_w..].fill(0);
-        }
-    }
-
     /// Resizes in place to `n_rows × nbits`, clearing every row and
     /// reusing the backing allocation whenever it is large enough.
     /// Returns `true` if the backing store had to grow (reallocate).
@@ -412,44 +366,6 @@ mod tests {
         assert!(m.reset(64, 256)); // 256 words: must grow
         assert_eq!(m.n_rows(), 64);
         assert!(m.row_is_empty(63));
-    }
-
-    #[test]
-    fn copy_from_widened_zero_extends_and_clears_stale_tail() {
-        let mut src = BitMatrix::new(3, 70);
-        src.set(0, 0);
-        src.set(1, 69);
-        src.set(2, 33);
-        // Destination is wider and carries stale garbage in every word —
-        // exactly the state a reused scratch leaves behind.
-        let mut dst = BitMatrix::filled(3, 200);
-        dst.copy_from_widened(&src);
-        for r in 0..3 {
-            assert_eq!(
-                dst.row_iter(r).collect::<Vec<_>>(),
-                src.row_iter(r).collect::<Vec<_>>(),
-                "row {r}"
-            );
-        }
-        // New columns (70..200) start absent, including the partial word
-        // the source's trailing-bit hygiene shares with retained bits.
-        assert!(!dst.contains(1, 70) && !dst.contains(1, 199));
-    }
-
-    #[test]
-    fn copy_from_widened_same_width_is_plain_copy() {
-        let mut src = BitMatrix::new(2, 65);
-        src.set(1, 64);
-        let mut dst = BitMatrix::filled(2, 65);
-        dst.copy_from_widened(&src);
-        assert_eq!(dst, src);
-    }
-
-    #[test]
-    #[should_panic(expected = "no wider than the destination")]
-    fn copy_from_widened_rejects_wider_source() {
-        let src = BitMatrix::new(2, 100);
-        BitMatrix::new(2, 64).copy_from_widened(&src);
     }
 
     #[test]

@@ -73,10 +73,10 @@ pub mod bitset;
 pub use bitmatrix::BitMatrix;
 pub use bitset::{
     copy_row_changed, count_row, difference_rows, intersect_rows, row_contains, row_is_empty,
-    union_rows, BitIter, BitSet, WIDE_ROW_WORDS,
+    union_rows, BitIter, BitSet,
 };
 pub use error::{ShapeMismatch, SolverDiverged};
 pub use problem::{Confluence, Direction, Problem, Solution, Transfer};
-pub use solver::{DeltaSolveInfo, SolveStrategy, SolverScratch};
+pub use solver::{SolveStrategy, SolverScratch};
 pub use stats::SolveStats;
 pub use view::CfgView;

@@ -114,12 +114,10 @@ impl SolverScratch {
         Self::default()
     }
 
-    /// The structural half of [`prepare`](Self::prepare): resizes every
-    /// backing store for `p` (growing only when needed) without touching
-    /// the IN/OUT values. Returns the growth count and whether the
-    /// matrices already had the right shape (so their old values are still
-    /// in place).
-    fn prepare_structures(&mut self, p: &Problem<'_>, view: &CfgView) -> (u64, bool) {
+    /// Resizes the backing stores for `p` (growing only when needed) and
+    /// reinitialises all values. Returns the number of backing-store
+    /// growth events, i.e. actual heap allocations.
+    fn prepare(&mut self, p: &Problem<'_>, view: &CfgView) -> u64 {
         let n = p.fun.num_blocks();
         assert_eq!(
             view.num_blocks(),
@@ -149,15 +147,6 @@ impl SolverScratch {
             grew += 1;
             self.queue.reserve(n - self.queue.capacity());
         }
-        (grew, same_shape)
-    }
-
-    /// Resizes the backing stores for `p` (growing only when needed) and
-    /// reinitialises all values. Returns the number of backing-store
-    /// growth events, i.e. actual heap allocations.
-    fn prepare(&mut self, p: &Problem<'_>, view: &CfgView) -> u64 {
-        let (grew, same_shape) = self.prepare_structures(p, view);
-        let n = p.fun.num_blocks();
 
         if std::mem::take(&mut self.skip_reset_once) && same_shape {
             // Fault-injection path: leave whatever values are in the
@@ -181,30 +170,6 @@ impl SolverScratch {
             Direction::Forward => self.ins.set_row(p.fun.entry().index(), &p.boundary),
             Direction::Backward => self.outs.set_row(p.fun.exit().index(), &p.boundary),
         }
-        grew
-    }
-
-    /// Like [`prepare`](Self::prepare), but seeds the IN/OUT matrices from
-    /// a previous fixpoint instead of the lattice initial values — the
-    /// starting state of a delta solve. Rows the delta re-solves are
-    /// reinitialised afterwards by the caller; every other row keeps its
-    /// (already final) previous value.
-    ///
-    /// `prev` may carry *fewer* columns than `p` (a universe that grew
-    /// between revisions): retained rows are widened in place and the new
-    /// expression bits start absent — ⊥ for the zero-extension, which
-    /// DESIGN.md §13 proves is the exact fixpoint value outside the dirty
-    /// closure for every must-problem in the cascade.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prev` has a different row count or *more* columns than
-    /// `p` (the delta entry point checks this and falls back to a full
-    /// solve instead).
-    fn prepare_delta(&mut self, p: &Problem<'_>, view: &CfgView, prev: &Solution) -> u64 {
-        let (grew, _) = self.prepare_structures(p, view);
-        self.ins.copy_from_widened(&prev.ins);
-        self.outs.copy_from_widened(&prev.outs);
         grew
     }
 
@@ -250,22 +215,6 @@ impl SolverScratch {
     pub fn is_poisoned(&self) -> bool {
         self.skip_reset_once
     }
-}
-
-/// Outcome metadata of a [`Problem::try_delta_solve_with`] call: whether
-/// the delta path applied at all, and how much of the CFG it re-solved.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct DeltaSolveInfo {
-    /// The previous fixpoint was shaped for a different CFG or bit width,
-    /// so a full solve ran instead of a delta.
-    pub full_fallback: bool,
-    /// Strongly connected components re-drained by this solve.
-    pub components_resolved: usize,
-    /// Blocks whose values were re-solved (members of those components).
-    pub blocks_resolved: usize,
-    /// The previous fixpoint carried fewer columns than the problem and
-    /// retained rows were zero-extended in place (universe growth).
-    pub widened: bool,
 }
 
 impl Problem<'_> {
@@ -349,169 +298,6 @@ impl Problem<'_> {
             outs: scratch.outs.clone(),
             stats,
         })
-    }
-
-    /// Re-solves after an edit, seeded from `prev` (the fixpoint of the
-    /// *unedited* problem) and a set of blocks whose transfer functions,
-    /// incoming edge gens or boundary participation may have changed.
-    ///
-    /// Only the strongly connected components that can observe the change
-    /// are re-drained: the changed blocks' own components plus everything
-    /// downstream in the condensation for a forward problem (values flow
-    /// towards the exit), upstream for a backward one. Every other block's
-    /// previous value is provably final — its meet inputs and transfer are
-    /// unchanged and the framework's fixpoint is unique — and is carried
-    /// over verbatim, so the result is bit-identical to a full solve at a
-    /// cost proportional to the affected region.
-    ///
-    /// `prev` may be *narrower* than the problem (fewer columns): retained
-    /// rows are widened in place with the new bits starting ⊥, which is the
-    /// exact fixpoint for new expression columns outside the dirty closure
-    /// of a must-problem (DESIGN.md §13 has the per-direction argument).
-    /// The caller remains responsible for listing every block whose local
-    /// predicates gained a new-column bit as `changed`.
-    ///
-    /// Falls back to a full [`SolveStrategy::SccPriority`] solve (reported
-    /// via [`DeltaSolveInfo::full_fallback`]) whenever `prev` is shaped for
-    /// a different CFG or is *wider* than the problem — the shape-change
-    /// contract: callers that added or removed blocks or edges must not
-    /// pretend otherwise (column shrink is handled upstream by remapping).
-    ///
-    /// The caller owns the completeness of `changed`: a block whose
-    /// transfer, incoming edge gen (for [`with_edge_gen`]
-    /// (Self::with_edge_gen) problems) or boundary row differs from the
-    /// problem `prev` was solved under must be listed, or stale values
-    /// survive. The LCM pipeline derives this set from its block diff.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverDiverged`] if the fixpoint iteration exceeds its
-    /// budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `view` was built for a different-shaped function.
-    pub fn try_delta_solve_with(
-        &self,
-        view: &CfgView,
-        scratch: &mut SolverScratch,
-        prev: &Solution,
-        changed: &[BlockId],
-    ) -> Result<(Solution, DeltaSolveInfo), SolverDiverged> {
-        let n = self.fun.num_blocks();
-        let shape_ok = prev.ins.n_rows() == n
-            && prev.outs.n_rows() == n
-            && prev.ins.nbits() <= self.nbits
-            && prev.outs.nbits() == prev.ins.nbits()
-            && changed.iter().all(|b| b.index() < n);
-        if !shape_ok {
-            let solution = self.try_solve_with(SolveStrategy::SccPriority, view, scratch)?;
-            let info = DeltaSolveInfo {
-                full_fallback: true,
-                components_resolved: view.num_sccs(),
-                blocks_resolved: n,
-                widened: false,
-            };
-            return Ok((solution, info));
-        }
-        let widened = prev.ins.nbits() < self.nbits;
-
-        // Mark the affected components. Component ids are topological
-        // (every cross-component edge goes low → high), so one ordered
-        // sweep — ascending for forward problems, descending for backward
-        // — computes the full downstream/upstream closure.
-        let n_sccs = view.num_sccs();
-        let mut affected = vec![false; n_sccs];
-        for &b in changed {
-            if let Some(s) = view.scc_of(b) {
-                affected[s] = true;
-            }
-        }
-        match self.direction {
-            Direction::Forward => {
-                for s in 0..n_sccs {
-                    if !affected[s] {
-                        continue;
-                    }
-                    for &b in view.scc_blocks(s) {
-                        for &d in view.succs(b) {
-                            if let Some(t) = view.scc_of(d) {
-                                affected[t] = true;
-                            }
-                        }
-                    }
-                }
-            }
-            Direction::Backward => {
-                for s in (0..n_sccs).rev() {
-                    if !affected[s] {
-                        continue;
-                    }
-                    for &b in view.scc_blocks(s) {
-                        for &d in view.preds(b) {
-                            if let Some(t) = view.scc_of(d) {
-                                affected[t] = true;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        let mut stats = SolveStats::new();
-        stats.allocations = scratch.prepare_delta(self, view, prev);
-        // Rows the delta re-solves restart from the lattice initial value
-        // (and the boundary, when the boundary block is affected), exactly
-        // as a full solve would initialise them; untouched rows keep the
-        // previous fixpoint.
-        let mut components_resolved = 0usize;
-        let mut blocks_resolved = 0usize;
-        for (s, _) in affected.iter().enumerate().filter(|(_, &a)| a) {
-            components_resolved += 1;
-            for &b in view.scc_blocks(s) {
-                blocks_resolved += 1;
-                let r = b.index();
-                match self.confluence {
-                    Confluence::Must => {
-                        scratch.ins.fill_row(r);
-                        scratch.outs.fill_row(r);
-                    }
-                    Confluence::May => {
-                        scratch.ins.clear_row(r);
-                        scratch.outs.clear_row(r);
-                    }
-                }
-            }
-        }
-        match self.direction {
-            Direction::Forward => {
-                let e = self.fun.entry();
-                if view.scc_of(e).is_some_and(|s| affected[s]) {
-                    scratch.ins.set_row(e.index(), &self.boundary);
-                }
-            }
-            Direction::Backward => {
-                let x = self.fun.exit();
-                if view.scc_of(x).is_some_and(|s| affected[s]) {
-                    scratch.outs.set_row(x.index(), &self.boundary);
-                }
-            }
-        }
-        self.run_scc_filtered(view, scratch, &mut stats, |s| affected[s])?;
-        stats.allocations += 2;
-        Ok((
-            Solution {
-                ins: scratch.ins.clone(),
-                outs: scratch.outs.clone(),
-                stats,
-            },
-            DeltaSolveInfo {
-                full_fallback: false,
-                components_resolved,
-                blocks_resolved,
-                widened,
-            },
-        ))
     }
 
     /// Solves by round-robin iteration over reverse postorder (forward
@@ -717,26 +503,10 @@ impl Problem<'_> {
         scratch: &mut SolverScratch,
         stats: &mut SolveStats,
     ) -> Result<(), SolverDiverged> {
-        self.run_scc_filtered(view, scratch, stats, |_| true)
-    }
-
-    /// [`run_scc`](Self::run_scc) restricted to the components `keep`
-    /// selects — the delta solve's drain, where the unselected components
-    /// already hold final values from a previous fixpoint.
-    fn run_scc_filtered(
-        &self,
-        view: &CfgView,
-        scratch: &mut SolverScratch,
-        stats: &mut SolveStats,
-        keep: impl Fn(usize) -> bool,
-    ) -> Result<(), SolverDiverged> {
         let bound = self.worklist_bound(view);
         let mut pops = 0usize;
         let n_sccs = view.num_sccs();
         let mut component = |s: usize| -> Result<(), SolverDiverged> {
-            if !keep(s) {
-                return Ok(());
-            }
             let members = view.scc_blocks(s);
             match self.direction {
                 Direction::Forward => {
@@ -1263,274 +1033,6 @@ mod tests {
         let recovered = p.solve_with(SolveStrategy::SccPriority, &view, &mut scratch);
         assert_eq!(clean.ins, recovered.ins);
         assert_eq!(clean.outs, recovered.outs);
-    }
-
-    /// A multi-component CFG with two loops feeding a shared tail — the
-    /// delta tests' workhorse.
-    fn multi_scc_fn() -> lcm_ir::Function {
-        parse_function(
-            "fn m {
-             entry:
-               br c, a, b
-             a:
-               br d, inner, join
-             inner:
-               br e, inner, a
-             b:
-               jmp join
-             join:
-               br g, entry2, done
-             entry2:
-               jmp join
-             done:
-               ret
-             }",
-        )
-        .unwrap()
-    }
-
-    fn seeded_transfers(n: usize, nbits: usize, salt: usize) -> Vec<Transfer> {
-        let mut transfer = vec![Transfer::identity(nbits); n];
-        for (i, t) in transfer.iter_mut().enumerate() {
-            t.gen.insert((i + salt) % nbits);
-            t.kill.insert((i + salt + 3) % nbits);
-        }
-        transfer
-    }
-
-    #[test]
-    fn delta_solve_matches_full_solve_in_all_directions() {
-        let f = multi_scc_fn();
-        let view = CfgView::new(&f);
-        let mut scratch = SolverScratch::new();
-        let edited = f.block_by_name("a").unwrap();
-        for direction in [Direction::Forward, Direction::Backward] {
-            for confluence in [Confluence::Must, Confluence::May] {
-                let p = Problem::new(
-                    &f,
-                    8,
-                    direction,
-                    confluence,
-                    seeded_transfers(f.num_blocks(), 8, 0),
-                );
-                let prev = p.solve_with(SolveStrategy::SccPriority, &view, &mut scratch);
-                // Edit block `a`'s transfer and re-solve both ways.
-                let mut transfer = seeded_transfers(f.num_blocks(), 8, 0);
-                transfer[edited.index()].gen.insert(5);
-                transfer[edited.index()].kill.insert(1);
-                let q = Problem::new(&f, 8, direction, confluence, transfer);
-                let fresh = q.solve_with(SolveStrategy::SccPriority, &view, &mut scratch);
-                let (delta, info) = q
-                    .try_delta_solve_with(&view, &mut scratch, &prev, &[edited])
-                    .unwrap();
-                assert!(!info.full_fallback);
-                assert!(info.blocks_resolved <= f.num_blocks());
-                assert_eq!(fresh.ins, delta.ins, "{direction:?} {confluence:?}");
-                assert_eq!(fresh.outs, delta.outs, "{direction:?} {confluence:?}");
-                assert!(delta.stats.node_visits <= fresh.stats.node_visits);
-            }
-        }
-    }
-
-    #[test]
-    fn delta_solve_scopes_to_downstream_components_only() {
-        // A long chain edited near the end: a forward delta re-solves only
-        // the suffix, a backward delta only the prefix.
-        let mut text = String::from("fn chain {\n entry:\n jmp b0\n");
-        for i in 0..20 {
-            text.push_str(&format!(" b{i}:\n jmp b{}\n", i + 1));
-        }
-        text.push_str(" b20:\n ret\n }");
-        let f = parse_function(&text).unwrap();
-        let view = CfgView::new(&f);
-        let mut scratch = SolverScratch::new();
-        let edited = f.block_by_name("b18").unwrap();
-        for (direction, expect_resolved) in [(Direction::Forward, 3), (Direction::Backward, 20)] {
-            let p = Problem::new(
-                &f,
-                4,
-                direction,
-                Confluence::May,
-                seeded_transfers(f.num_blocks(), 4, 1),
-            );
-            let prev = p.solve_with(SolveStrategy::SccPriority, &view, &mut scratch);
-            let mut transfer = seeded_transfers(f.num_blocks(), 4, 1);
-            transfer[edited.index()].gen.insert(2);
-            let q = Problem::new(&f, 4, direction, Confluence::May, transfer);
-            let fresh = q.solve_with(SolveStrategy::SccPriority, &view, &mut scratch);
-            let (delta, info) = q
-                .try_delta_solve_with(&view, &mut scratch, &prev, &[edited])
-                .unwrap();
-            assert_eq!(fresh.ins, delta.ins);
-            assert_eq!(fresh.outs, delta.outs);
-            assert_eq!(info.blocks_resolved, expect_resolved, "{direction:?}");
-            assert!(
-                delta.stats.node_visits < fresh.stats.node_visits,
-                "{direction:?}: delta {} vs fresh {}",
-                delta.stats.node_visits,
-                fresh.stats.node_visits
-            );
-        }
-    }
-
-    #[test]
-    fn delta_solve_shape_mismatch_falls_back_to_full_solve() {
-        let f = multi_scc_fn();
-        let g = loop_fn(); // different shape
-        let view = CfgView::new(&f);
-        let gview = CfgView::new(&g);
-        let mut scratch = SolverScratch::new();
-        let p_old = Problem::new(
-            &g,
-            8,
-            Direction::Forward,
-            Confluence::Must,
-            seeded_transfers(g.num_blocks(), 8, 0),
-        );
-        let prev = p_old.solve_with(SolveStrategy::SccPriority, &gview, &mut scratch);
-        let q = Problem::new(
-            &f,
-            8,
-            Direction::Forward,
-            Confluence::Must,
-            seeded_transfers(f.num_blocks(), 8, 0),
-        );
-        let fresh = q.solve_with(SolveStrategy::SccPriority, &view, &mut scratch);
-        let (delta, info) = q
-            .try_delta_solve_with(&view, &mut scratch, &prev, &[f.entry()])
-            .unwrap();
-        assert!(info.full_fallback);
-        assert_eq!(info.blocks_resolved, f.num_blocks());
-        assert_eq!(fresh.ins, delta.ins);
-        assert_eq!(fresh.outs, delta.outs);
-
-        // A *narrower* previous fixpoint no longer falls back: retained
-        // rows widen in place. The seeded transfers gain arbitrary bits in
-        // the new columns at every block, so every block is changed — the
-        // caller's completeness contract — and the result still matches a
-        // fresh wide solve bit for bit.
-        let wide = Problem::new(
-            &f,
-            16,
-            Direction::Forward,
-            Confluence::Must,
-            seeded_transfers(f.num_blocks(), 16, 0),
-        );
-        let all: Vec<BlockId> = (0..f.num_blocks()).map(BlockId::from_index).collect();
-        let (w, info) = wide
-            .try_delta_solve_with(&view, &mut scratch, &fresh, &all)
-            .unwrap();
-        assert!(!info.full_fallback);
-        assert!(info.widened);
-        assert_eq!(
-            w.ins,
-            wide.solve_with(SolveStrategy::SccPriority, &view, &mut scratch)
-                .ins
-        );
-
-        // A *wider* previous fixpoint still falls back: columns cannot be
-        // dropped in place, shrink is the caller's remapping job.
-        let narrow = Problem::new(
-            &f,
-            8,
-            Direction::Forward,
-            Confluence::Must,
-            seeded_transfers(f.num_blocks(), 8, 0),
-        );
-        let (nw, info) = narrow
-            .try_delta_solve_with(&view, &mut scratch, &w, &[f.entry()])
-            .unwrap();
-        assert!(info.full_fallback);
-        assert!(!info.widened);
-        assert_eq!(nw.ins, fresh.ins);
-    }
-
-    #[test]
-    fn delta_solve_with_empty_change_set_reproduces_prev() {
-        let f = multi_scc_fn();
-        let view = CfgView::new(&f);
-        let mut scratch = SolverScratch::new();
-        let p = Problem::new(
-            &f,
-            8,
-            Direction::Backward,
-            Confluence::Must,
-            seeded_transfers(f.num_blocks(), 8, 2),
-        );
-        let prev = p.solve_with(SolveStrategy::SccPriority, &view, &mut scratch);
-        let (delta, info) = p
-            .try_delta_solve_with(&view, &mut scratch, &prev, &[])
-            .unwrap();
-        assert!(!info.full_fallback);
-        assert_eq!(info.blocks_resolved, 0);
-        assert_eq!(info.components_resolved, 0);
-        assert_eq!(delta.stats.node_visits, 0);
-        assert_eq!(prev.ins, delta.ins);
-        assert_eq!(prev.outs, delta.outs);
-    }
-
-    #[test]
-    fn delta_solve_handles_boundary_and_edge_gen_changes() {
-        // Diamond with edge gens: change one edge's gen and list its target
-        // as changed; the delta must match a fresh solve.
-        let f = parse_function(
-            "fn d {
-             entry:
-               br c, l, r
-             l:
-               jmp j
-             r:
-               jmp j
-             j:
-               ret
-             }",
-        )
-        .unwrap();
-        let l = f.block_by_name("l").unwrap();
-        let view = CfgView::new(&f);
-        let mut scratch = SolverScratch::new();
-        let edges = EdgeList::new(&f);
-        let gens = vec![BitSet::new(2); edges.len()];
-        let transfer = vec![Transfer::identity(2); f.num_blocks()];
-        let p = Problem::new(
-            &f,
-            2,
-            Direction::Forward,
-            Confluence::Must,
-            transfer.clone(),
-        )
-        .with_edge_gen(edges.clone(), gens.clone());
-        let prev = p.solve_with(SolveStrategy::SccPriority, &view, &mut scratch);
-
-        let (to_l, _) = edges
-            .iter()
-            .find(|(_, e)| e.from == f.entry() && e.to == l)
-            .unwrap();
-        let mut gens2 = gens;
-        gens2[to_l.index()].insert(0);
-        let q = Problem::new(&f, 2, Direction::Forward, Confluence::Must, transfer)
-            .with_edge_gen(edges, gens2);
-        let fresh = q.solve_with(SolveStrategy::SccPriority, &view, &mut scratch);
-        let (delta, info) = q
-            .try_delta_solve_with(&view, &mut scratch, &prev, &[l])
-            .unwrap();
-        assert!(!info.full_fallback);
-        assert_eq!(fresh.ins, delta.ins);
-        assert_eq!(fresh.outs, delta.outs);
-
-        // Changing the boundary with the entry block listed as changed.
-        let mut boundary = BitSet::new(2);
-        boundary.insert(1);
-        let transfer = vec![Transfer::identity(2); f.num_blocks()];
-        let b = Problem::new(&f, 2, Direction::Forward, Confluence::Must, transfer)
-            .with_boundary(boundary);
-        let fresh_b = b.solve_with(SolveStrategy::SccPriority, &view, &mut scratch);
-        let (delta_b, info) = b
-            .try_delta_solve_with(&view, &mut scratch, &prev, &[f.entry()])
-            .unwrap();
-        assert!(!info.full_fallback);
-        assert_eq!(fresh_b.ins, delta_b.ins);
-        assert_eq!(fresh_b.outs, delta_b.outs);
     }
 
     #[test]

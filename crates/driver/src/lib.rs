@@ -58,16 +58,13 @@ pub use persist::{
 };
 
 use std::collections::HashMap;
-use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Instant;
 
 use lcm_core::transform::TransformStats;
 use lcm_core::validate::{sample_inputs, validate_optimized, ValidationLevel};
 use lcm_core::{
-    optimize_checked_budgeted, optimize_incremental_checked_with,
-    optimize_speculative_checked_budgeted, passes, EdgeWeights, IncrementalState, IncrementalStats,
-    OptimizeBudget, PhaseNanos, PipelineError, PipelineStats, PreAlgorithm, SpecStats,
+    optimize_checked_budgeted, optimize_speculative_checked_budgeted, passes, EdgeWeights,
+    OptimizeBudget, PipelineError, PipelineStats, PreAlgorithm, SpecStats,
 };
 use lcm_dataflow::{SolveStrategy, SolverScratch};
 use lcm_ir::{parse_function, simplify_cfg, verify, Function, Module, Profile};
@@ -315,22 +312,17 @@ struct PersistState {
     status: LoadStatus,
 }
 
-/// The retained fixpoint for one function name — what the daemon hot path
-/// ([`optimize_unit_incremental`]) delta-solves against on the next edit
-/// of the same function, tagged with the cache fingerprint of the input it
-/// was computed from so staleness is detectable.
+/// The zero-dirty output memo for one function name: the canonical output
+/// of the last revision the engine computed for that name, keyed by the
+/// revision's fingerprint and the options it ran under. An identical
+/// revision replays the text verbatim — no plan, rewrite, validation, or
+/// printing — and anything else recomputes through [`optimize_unit`].
 #[derive(Debug)]
-pub struct PrevSolve {
+pub struct OutputMemo {
     /// Fingerprint (with placement context) of the pre-LCSE input the
-    /// state was computed from.
+    /// output was computed from.
     pub key: u128,
-    /// The retained universe, local predicates, and AVAIL/ANTIC/LATER
-    /// fixpoints over the post-LCSE canonical function.
-    pub state: IncrementalState,
-    /// The canonical printed output the state produced — the zero-dirty
-    /// memo. A revision whose fingerprint equals `key` under the same
-    /// `opts_tag` replays this text verbatim, skipping plan, rewrite,
-    /// validation, and printing entirely.
+    /// The canonical printed output of that input.
     pub output_text: String,
     /// Fingerprint of every output-affecting engine option
     /// ([`options_tag`]) at the time the memo was recorded. Any placement,
@@ -339,7 +331,7 @@ pub struct PrevSolve {
     pub opts_tag: String,
 }
 
-/// The output-affecting option fingerprint a [`PrevSolve`] memo is keyed
+/// The output-affecting option fingerprint an [`OutputMemo`] is keyed
 /// under. Deliberately includes the validation tier and seed even though
 /// they cannot change the output text: a flag change must force a real
 /// run, never a memo replay recorded under different settings.
@@ -353,103 +345,38 @@ pub fn options_tag(opts: &BatchOptions) -> String {
     )
 }
 
-/// Per-class counts of what the edits a daemon or watch session saw
-/// actually were — the honest ledger behind any "delta path" speedup
-/// claim. One class per revision-with-retained-state, by priority:
-/// zero-dirty (memo replay), fallback, shape-mapped, universe-grow,
-/// universe-shrink, plain content.
+/// What the output memo did for a `watch` or daemon session.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub struct EditClassCounters {
-    /// Same-shape, same-universe content edits answered by a delta solve.
-    pub content: u64,
-    /// Edits that grew the expression universe (columns widened in place).
-    pub universe_grow: u64,
-    /// Edits that shrank the universe (columns remapped).
-    pub universe_shrink: u64,
-    /// One-block shape edits mapped onto the delta path (rows permuted).
-    pub shape_mapped: u64,
-    /// Edits beyond the mapped shapes: the full-solve fallback.
-    pub fallback: u64,
-    /// Identical revisions answered by the output memo with no solve at
-    /// all.
-    pub zero_dirty: u64,
-}
-
-impl EditClassCounters {
-    /// Classifies one non-memo revision that had retained state.
-    fn note(&mut self, stats: &IncrementalStats) {
-        if stats.full_fallback {
-            self.fallback += 1;
-        } else if stats.shape_mapped {
-            self.shape_mapped += 1;
-        } else if stats.universe_grew {
-            self.universe_grow += 1;
-        } else if stats.universe_shrunk {
-            self.universe_shrink += 1;
-        } else {
-            self.content += 1;
-        }
-    }
-
-    /// Total classified revisions.
-    pub fn total(&self) -> u64 {
-        self.content
-            + self.universe_grow
-            + self.universe_shrink
-            + self.shape_mapped
-            + self.fallback
-            + self.zero_dirty
-    }
-}
-
-impl fmt::Display for EditClassCounters {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} content, {} universe-grow, {} universe-shrink, \
-             {} shape-mapped, {} fallback, {} zero-dirty",
-            self.content,
-            self.universe_grow,
-            self.universe_shrink,
-            self.shape_mapped,
-            self.fallback,
-            self.zero_dirty
-        )
-    }
+pub struct MemoStats {
+    /// Identical revisions replayed from the memo.
+    pub hits: u64,
+    /// Changed revisions of a memoized function, recomputed from scratch.
+    pub recomputes: u64,
 }
 
 /// Which path answered one unit of
 /// [`BatchEngine::run_module_incremental`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum IncrementalMode {
-    /// First sight of this function name: solved fresh, fixpoints now
-    /// retained for its next revision.
+    /// No memo for this function name yet: computed, and memoized.
     Fresh,
-    /// Delta-solved against the retained fixpoints — only the SCC
-    /// components the edit can reach were re-solved.
-    Delta,
-    /// Retained state existed, but the CFG shape changed beyond the mapped
-    /// edits, forcing the full-solve fallback (the state was refreshed
-    /// either way).
-    Fallback,
+    /// The function changed since its memo was recorded: recomputed from
+    /// scratch, and the memo replaced.
+    Recomputed,
     /// The revision is byte-identical (same fingerprint, same options) to
-    /// the one the retained state answered: the output memo was replayed
-    /// with no solve, rewrite, validation, or printing work at all.
+    /// the memoized one: the output was replayed with no solve, rewrite,
+    /// validation, or printing work at all.
     ZeroDirty,
-    /// The placement is not [`incremental_eligible`]; the unit ran the
-    /// ordinary one-shot pipeline with no state retention.
-    OneShot,
 }
 
 impl IncrementalMode {
-    /// Short lowercase label for stats lines (`fresh`, `delta`, ...).
+    /// Short lowercase label for stats lines (`fresh`, `recomputed`,
+    /// `zero-dirty`).
     pub fn name(self) -> &'static str {
         match self {
             IncrementalMode::Fresh => "fresh",
-            IncrementalMode::Delta => "delta",
-            IncrementalMode::Fallback => "fallback",
+            IncrementalMode::Recomputed => "recomputed",
             IncrementalMode::ZeroDirty => "zero-dirty",
-            IncrementalMode::OneShot => "one-shot",
         }
     }
 }
@@ -465,18 +392,6 @@ pub struct IncrementalUnit {
     pub outcome: Result<String, UnitError>,
     /// Which path answered it.
     pub mode: IncrementalMode,
-    /// Delta accounting; all-default unless `mode` is
-    /// [`IncrementalMode::Delta`] or [`IncrementalMode::Fallback`].
-    pub stats: IncrementalStats,
-    /// Block count of the input — the yardstick for
-    /// `stats.delta_blocks_resolved` (a from-scratch solve pays one row
-    /// per block in each of the three analyses, i.e. `3 * blocks`).
-    pub blocks: usize,
-    /// Wall-clock split of this unit's work into the solve phase (LCSE +
-    /// fixpoints) and the tail (plan, rewrite, cleanup passes,
-    /// validation, print). Both zero for a memo replay — that is the
-    /// point.
-    pub phases: PhaseNanos,
 }
 
 /// The batch engine: a [`BatchOptions`] plus a [`PlanCache`] that persists
@@ -487,20 +402,11 @@ pub struct BatchEngine {
     opts: BatchOptions,
     cache: PlanCache,
     persisted: Option<PersistState>,
-    /// Per-function-name retained fixpoints for the incremental hot path.
-    /// An entry is replaced on every re-optimization of its function and
-    /// lives until the process exits; the map is bounded by the number of
-    /// distinct function names a daemon serves.
-    prev_solves: HashMap<String, PrevSolve>,
-    /// Session increments of [`LifetimeCounters::incremental_hits`] and
-    /// [`LifetimeCounters::delta_blocks_resolved`] (no [`CacheStats`] twin).
-    incremental_hits: u64,
-    delta_blocks_resolved: u64,
-    /// Per-class edit ledger for this process's incremental revisions.
-    edit_classes: EditClassCounters,
-    /// Accumulated solve/tail wall-clock over this process's incremental
-    /// units (memo replays contribute nothing — again, the point).
-    phases: PhaseNanos,
+    /// Per-function-name output memos. An entry is replaced on every
+    /// recompute of its function and lives until the process exits; the
+    /// map is bounded by the number of distinct function names served.
+    memos: HashMap<String, OutputMemo>,
+    memo_stats: MemoStats,
 }
 
 impl BatchEngine {
@@ -510,11 +416,8 @@ impl BatchEngine {
             cache: PlanCache::new(opts.cache_capacity),
             opts,
             persisted: None,
-            prev_solves: HashMap::new(),
-            incremental_hits: 0,
-            delta_blocks_resolved: 0,
-            edit_classes: EditClassCounters::default(),
-            phases: PhaseNanos::default(),
+            memos: HashMap::new(),
+            memo_stats: MemoStats::default(),
         }
     }
 
@@ -534,11 +437,8 @@ impl BatchEngine {
                 base,
                 status,
             }),
-            prev_solves: HashMap::new(),
-            incremental_hits: 0,
-            delta_blocks_resolved: 0,
-            edit_classes: EditClassCounters::default(),
-            phases: PhaseNanos::default(),
+            memos: HashMap::new(),
+            memo_stats: MemoStats::default(),
         }
     }
 
@@ -555,77 +455,50 @@ impl BatchEngine {
 
     /// `base` plus everything this process has counted so far.
     fn session_totals(&self, base: LifetimeCounters) -> LifetimeCounters {
-        let mut l = base.plus_session(self.cache.stats());
-        l.incremental_hits += self.incremental_hits;
-        l.delta_blocks_resolved += self.delta_blocks_resolved;
-        let e = &self.edit_classes;
-        l.zero_dirty_hits += e.zero_dirty;
-        l.content_edits += e.content;
-        l.universe_grow_edits += e.universe_grow;
-        l.universe_shrink_edits += e.universe_shrink;
-        l.shape_mapped_edits += e.shape_mapped;
-        l.fallback_edits += e.fallback;
-        l
+        base.plus_session(self.cache.stats())
     }
 
-    /// Removes and returns the retained fixpoint for `name`, if any. The
-    /// take/put split (instead of borrowing in place) lets a daemon worker
-    /// release the engine lock while it delta-solves; a concurrent unit of
-    /// the same name simply finds no state and solves fresh.
-    pub fn take_prev_solve(&mut self, name: &str) -> Option<PrevSolve> {
-        self.prev_solves.remove(name)
+    /// Mutable access to `name`'s output memo — for fault injection and
+    /// tests; the normal driver path never needs it.
+    pub fn memo_mut(&mut self, name: &str) -> Option<&mut OutputMemo> {
+        self.memos.get_mut(name)
     }
 
-    /// Retains `prev` as the fixpoint to delta-solve `name`'s next
-    /// revision against, replacing any earlier state for that name.
-    pub fn put_prev_solve(&mut self, name: &str, prev: PrevSolve) {
-        self.prev_solves.insert(name.to_string(), prev);
+    /// Output memos currently held.
+    pub fn memos_len(&self) -> usize {
+        self.memos.len()
     }
 
-    /// Retained fixpoint entries currently held.
-    pub fn prev_solves_len(&self) -> usize {
-        self.prev_solves.len()
+    /// This process's memo counters so far.
+    pub fn memo_stats(&self) -> MemoStats {
+        self.memo_stats
     }
 
-    /// Counts one unit answered via the delta path (not the full-solve
-    /// fallback), which re-solved `delta_blocks` block rows.
-    pub fn note_incremental_hit(&mut self, delta_blocks: u64) {
-        self.incremental_hits += 1;
-        self.delta_blocks_resolved += delta_blocks;
+    /// Replays `name`'s memoized output (canonical name) if it was
+    /// recorded for fingerprint `key` under this engine's options, and
+    /// counts the hit. A dirty function can never match — the fingerprint
+    /// covers the whole canonical body — and an option change invalidates
+    /// via the tag.
+    fn replay_memo(&mut self, name: &str, key: u128) -> Option<String> {
+        let memo = self.memos.get(name)?;
+        if memo.key != key || memo.opts_tag != options_tag(&self.opts) {
+            return None;
+        }
+        self.memo_stats.hits += 1;
+        Some(memo.output_text.clone())
     }
 
-    /// Counts one identical revision answered by the zero-dirty memo.
-    pub fn note_zero_dirty(&mut self) {
-        self.edit_classes.zero_dirty += 1;
-    }
-
-    /// Classifies one non-memo revision that had retained state into the
-    /// edit-class ledger.
-    pub fn note_edit_class(&mut self, stats: &IncrementalStats) {
-        self.edit_classes.note(stats);
-    }
-
-    /// Accumulates one incremental unit's solve/tail wall-clock split.
-    pub fn note_phases(&mut self, phases: PhaseNanos) {
-        self.phases.solve_ns += phases.solve_ns;
-        self.phases.tail_ns += phases.tail_ns;
-    }
-
-    /// This process's incremental counters so far:
-    /// `(incremental_hits, delta_blocks_resolved)`.
-    pub fn incremental_session(&self) -> (u64, u64) {
-        (self.incremental_hits, self.delta_blocks_resolved)
-    }
-
-    /// This process's per-class edit ledger so far.
-    pub fn edit_classes(&self) -> EditClassCounters {
-        self.edit_classes
-    }
-
-    /// Accumulated solve/tail wall-clock over this process's incremental
-    /// units.
-    pub fn incremental_phases(&self) -> PhaseNanos {
-        self.phases
+    /// Records `output_text` (canonical name) as `name`'s memo for `key`.
+    /// Replacing an earlier memo counts as a recompute.
+    fn record_memo(&mut self, name: &str, key: u128, output_text: String) {
+        let memo = OutputMemo {
+            key,
+            output_text,
+            opts_tag: options_tag(&self.opts),
+        };
+        if self.memos.insert(name.to_string(), memo).is_some() {
+            self.memo_stats.recomputes += 1;
+        }
     }
 
     /// Counts a quarantined *entry*: a persisted entry that failed
@@ -680,23 +553,27 @@ impl BatchEngine {
         )
     }
 
-    /// Optimizes every function of `m` through the incremental hot path,
-    /// sequentially and in module order: retained fixpoints (see
-    /// [`PrevSolve`]) answer a repeat revision of a function with an
-    /// SCC-scoped delta solve, first sights solve fresh and leave their
-    /// fixpoints behind, and shape or universe changes fall back to a full
-    /// solve. Functions whose placement is not [`incremental_eligible`]
-    /// run the ordinary one-shot pipeline instead.
+    /// Optimizes every function of `m` sequentially and in module order,
+    /// reusing work only through the output memo: a function whose
+    /// fingerprint and options match its memo replays the memoized text;
+    /// every other function runs the same [`optimize_unit`] pipeline as
+    /// [`BatchEngine::run`] and leaves its output behind as the new memo.
     ///
     /// Per-unit output text is byte-identical to [`BatchEngine::run_module`]
     /// for the same input and options (pinned by `tests/incremental.rs`
     /// and `tests/watch.rs`). This is the `lcmopt watch` engine; the serve
-    /// daemon wires the same take → solve → put cycle into its connection
-    /// handler.
+    /// daemon consults the same memo before its plan cache.
     pub fn run_module_incremental(&mut self, m: &Module) -> Vec<IncrementalUnit> {
         let mut scratch = SolverScratch::new();
         m.iter()
-            .map(|f| self.incremental_unit(f, m.profile(&f.name), &mut scratch))
+            .map(|f| {
+                let (outcome, mode) = self.incremental_unit(f, m.profile(&f.name), &mut scratch);
+                IncrementalUnit {
+                    name: f.name.clone(),
+                    outcome,
+                    mode,
+                }
+            })
             .collect()
     }
 
@@ -705,27 +582,13 @@ impl BatchEngine {
         f: &Function,
         profile: Option<&Profile>,
         scratch: &mut SolverScratch,
-    ) -> IncrementalUnit {
-        let blocks = f.num_blocks();
-        let unit = |outcome, mode, stats, phases| IncrementalUnit {
-            name: f.name.clone(),
-            outcome,
-            mode,
-            stats,
-            blocks,
-            phases,
-        };
+    ) -> (Result<String, UnitError>, IncrementalMode) {
         if let Err(e) = verify(f) {
             let err = UnitError {
                 kind: FailureKind::InvalidInput,
                 message: e.to_string(),
             };
-            return unit(
-                Err(err),
-                IncrementalMode::OneShot,
-                IncrementalStats::default(),
-                PhaseNanos::default(),
-            );
+            return (Err(err), IncrementalMode::Fresh);
         }
         let weights = if self.opts.placement == PreAlgorithm::Speculative {
             profile.and_then(|p| EdgeWeights::from_profile(f, p).ok())
@@ -733,92 +596,34 @@ impl BatchEngine {
             None
         };
         let context = unit_context(self.opts.placement, weights.as_ref());
-        if !incremental_eligible(self.opts.placement, weights.as_ref()) {
-            let computed = isolate(AssertUnwindSafe(|| {
-                optimize_unit(
-                    f,
-                    &self.opts,
-                    weights.as_ref(),
-                    &context,
-                    scratch,
-                    &OptimizeBudget::unlimited(),
-                )
-            }));
-            return unit(
-                computed.map(|e| cache::with_name(&e.output_text, &f.name)),
-                IncrementalMode::OneShot,
-                IncrementalStats::default(),
-                PhaseNanos::default(),
+        let key = fingerprint_with_context(f, &context).0;
+        if let Some(text) = self.replay_memo(&f.name, key) {
+            return (
+                Ok(cache::with_name(&text, &f.name)),
+                IncrementalMode::ZeroDirty,
             );
         }
-        let key = fingerprint_with_context(f, &context).0;
-        let tag = options_tag(&self.opts);
-        let prev = self.take_prev_solve(&f.name);
-        // The zero-dirty memo: an identical revision under identical
-        // options replays the retained output with no solve, rewrite,
-        // validation, or printing at all. A *dirty* function can never
-        // match — the fingerprint covers the whole canonical body — and an
-        // option change invalidates via the tag.
-        if let Some(p) = &prev {
-            if p.key == key && p.opts_tag == tag {
-                let output = cache::with_name(&p.output_text, &f.name);
-                self.edit_classes.zero_dirty += 1;
-                self.put_prev_solve(&f.name, prev.expect("checked above"));
-                return unit(
-                    Ok(output),
-                    IncrementalMode::ZeroDirty,
-                    IncrementalStats::default(),
-                    PhaseNanos::default(),
-                );
-            }
-        }
-        let had_prev = prev.is_some();
+        let mode = if self.memos.contains_key(&f.name) {
+            IncrementalMode::Recomputed
+        } else {
+            IncrementalMode::Fresh
+        };
         let computed = isolate(AssertUnwindSafe(|| {
-            optimize_unit_incremental(
+            optimize_unit(
                 f,
                 &self.opts,
+                weights.as_ref(),
                 &context,
-                prev.as_ref().map(|p| &p.state),
                 scratch,
+                &OptimizeBudget::unlimited(),
             )
         }));
-        match computed {
-            Ok((entry, state, stats, phases)) => {
-                let mode = match (had_prev, stats.full_fallback) {
-                    (false, _) => IncrementalMode::Fresh,
-                    (true, true) => IncrementalMode::Fallback,
-                    (true, false) => IncrementalMode::Delta,
-                };
-                if mode == IncrementalMode::Delta {
-                    self.note_incremental_hit(stats.delta_blocks_resolved as u64);
-                }
-                if had_prev {
-                    self.edit_classes.note(&stats);
-                }
-                self.phases.solve_ns += phases.solve_ns;
-                self.phases.tail_ns += phases.tail_ns;
-                let output = cache::with_name(&entry.output_text, &f.name);
-                self.put_prev_solve(
-                    &f.name,
-                    PrevSolve {
-                        key,
-                        state,
-                        output_text: entry.output_text.clone(),
-                        opts_tag: tag,
-                    },
-                );
-                if self.opts.use_cache {
-                    self.cache.insert(key, entry);
-                }
-                unit(Ok(output), mode, stats, phases)
-            }
-            Err(e) => unit(
-                Err(e),
-                IncrementalMode::Fresh,
-                IncrementalStats::default(),
-                PhaseNanos::default(),
-            ),
-        }
+        let outcome = computed.map(|entry| {
+            let output = cache::with_name(&entry.output_text, &f.name);
+            self.record_memo(&f.name, key, entry.output_text);
+            output
+        });
+        (outcome, mode)
     }
 
     /// Optimizes `units` as one batch. See the crate docs for the phase
@@ -1187,113 +992,6 @@ fn optimize_unit(
         validation_checks: report.checks_run,
         inputs_sampled: report.inputs_sampled,
     })
-}
-
-/// Whether a unit may take the incremental hot path: the effective
-/// placement must be the plain edge-formulation LCM pipeline — the one
-/// [`IncrementalState`] retains fixpoints for. That is [`PreAlgorithm::LazyEdge`]
-/// itself, or [`PreAlgorithm::Speculative`] with no resolved weights
-/// (which runs LazyEdge anyway and shares its cache entries).
-pub fn incremental_eligible(placement: PreAlgorithm, weights: Option<&EdgeWeights>) -> bool {
-    matches!(
-        (placement, weights),
-        (PreAlgorithm::LazyEdge, _) | (PreAlgorithm::Speculative, None)
-    )
-}
-
-/// The incremental twin of [`optimize_unit`]: the same pass order (LCSE →
-/// PRE → copy propagation → DCE → CFG simplification → output
-/// verification) and bit-identical output, but the PRE step delta-solves
-/// against `prev`'s retained fixpoints when one is supplied, re-solving
-/// only the SCC components the edit can reach (with an automatic full
-/// solve when the CFG shape or expression universe changed). Callers must
-/// check [`incremental_eligible`] first. Every result — delta, fallback,
-/// or first sight — passes at least the fast validation tier, so a stale
-/// or corrupted `prev` costs a typed unit failure, never wrong code.
-///
-/// Returns the cache entry, the new [`IncrementalState`] to retain for the
-/// function's next revision, what the delta path did, and the wall-clock
-/// solve/tail phase split. [`IncrementalStats`] is all-default when `prev`
-/// was `None` (there was nothing to be incremental against).
-pub fn optimize_unit_incremental(
-    f: &Function,
-    opts: &BatchOptions,
-    context: &str,
-    prev: Option<&IncrementalState>,
-    scratch: &mut SolverScratch,
-) -> Result<(CacheEntry, IncrementalState, IncrementalStats, PhaseNanos), UnitError> {
-    let (level, seed, strategy) = (opts.validate, opts.seed, opts.strategy);
-    let t_start = Instant::now();
-    let mut g = f.clone();
-    g.name = CANONICAL_NAME.to_string();
-    let canonical_input = cache::contextual_text(&g.to_string(), context);
-    passes::lcse(&mut g);
-    let pipeline_err = |e: PipelineError| UnitError {
-        kind: FailureKind::Pipeline,
-        message: e.to_string(),
-    };
-    let (opt, report, state, stats, mut phases) = match prev {
-        Some(prev) => {
-            let out = optimize_incremental_checked_with(prev, &g, level, seed, strategy, scratch)
-                .map_err(pipeline_err)?;
-            let mut phases = out.phases;
-            // Charge cloning + LCSE to the solve phase so the two phases
-            // still sum to this function's whole wall-clock.
-            phases.solve_ns = (t_start.elapsed().as_nanos() as u64).saturating_sub(phases.tail_ns);
-            (out.optimized, out.report, out.state, out.stats, phases)
-        }
-        None => {
-            let (opt, state) =
-                IncrementalState::fresh_with(&g, strategy, scratch).map_err(pipeline_err)?;
-            let solve_ns = t_start.elapsed().as_nanos() as u64;
-            let effective = if level == ValidationLevel::Off {
-                ValidationLevel::Fast
-            } else {
-                level
-            };
-            let report = validate_optimized(&g, &opt, effective, seed).map_err(|e| UnitError {
-                kind: FailureKind::Pipeline,
-                message: e.to_string(),
-            })?;
-            let phases = PhaseNanos {
-                solve_ns,
-                tail_ns: (t_start.elapsed().as_nanos() as u64).saturating_sub(solve_ns),
-            };
-            (opt, report, state, IncrementalStats::default(), phases)
-        }
-    };
-    let t_tail = Instant::now();
-    let mut out = opt.function.clone();
-    passes::copy_propagation(&mut out);
-    passes::dce(&mut out);
-    simplify_cfg(&mut out);
-    verify(&out).map_err(|e| UnitError {
-        kind: FailureKind::InvalidOutput,
-        message: e.to_string(),
-    })?;
-    // Allocations are scrubbed for the same reason as in [`optimize_unit`]:
-    // they measure arena temperature, not the function.
-    let mut pipeline = opt.pipeline_stats.unwrap_or_default();
-    pipeline.avail.allocations = 0;
-    pipeline.antic.allocations = 0;
-    pipeline.later.allocations = 0;
-    let output_text = out.to_string();
-    // The driver's cleanup passes and printing are tail work too.
-    phases.tail_ns += t_tail.elapsed().as_nanos() as u64;
-    Ok((
-        CacheEntry {
-            canonical_input,
-            pipeline,
-            transform: opt.transform.stats,
-            output_text,
-            origin: Some(Box::new(ComputedOrigin { pre_input: g, opt })),
-            validation_checks: report.checks_run,
-            inputs_sampled: report.inputs_sampled,
-        },
-        state,
-        stats,
-        phases,
-    ))
 }
 
 /// Differential inputs a thin-entry re-validation samples.

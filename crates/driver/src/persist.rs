@@ -23,7 +23,7 @@
 //!
 //! ```text
 //! "LCMCACHE"  8 bytes   magic
-//! version     u32       format version (currently 3)
+//! version     u32       format version (currently 4)
 //! count       u64       number of entries
 //! count × entry:
 //!   key         u128    content fingerprint
@@ -34,11 +34,7 @@
 //!   stats       22×u64  pipeline (3×5), transform (5), checks, inputs
 //!   checksum    u64     FNV-1a-64 over this entry's preceding bytes
 //! "LCMSTATS"  8 bytes   footer magic
-//! counters    12×u64    lifetime hits, misses, evictions, quarantines,
-//!                       incremental hits, delta blocks resolved,
-//!                       zero-dirty hits, and the five edit-class
-//!                       counters (content, universe-grow,
-//!                       universe-shrink, shape-mapped, fallback)
+//! counters    4×u64     lifetime hits, misses, evictions, quarantines
 //! checksum    u64       FNV-1a-64 over footer magic + counters
 //! <end of file — trailing bytes are an error>
 //! ```
@@ -58,13 +54,15 @@ use crate::cache::{CacheEntry, CacheStats, PlanCache};
 pub const CACHE_MAGIC: &[u8; 8] = b"LCMCACHE";
 /// The footer magic introducing the lifetime counters.
 pub const STATS_MAGIC: &[u8; 8] = b"LCMSTATS";
-/// The format version this build reads and writes. Version 2 widened the
-/// counter footer from 4 to 6 u64s (incremental hits, delta blocks
-/// resolved); version 3 widened it again to 12 (zero-dirty memo hits and
-/// the per-class edit ledger). Older files are refused with
-/// [`CacheFileError::VersionSkew`] and quarantined, costing warmth once,
-/// never correctness.
-pub const CACHE_FORMAT_VERSION: u32 = 3;
+/// The format version this build reads and writes. Versions 2 and 3
+/// widened the counter footer with delta-solve and edit-class counters;
+/// version 4 returns it to the four cache counters. Any other version is
+/// refused with [`CacheFileError::VersionSkew`] and quarantined, costing
+/// warmth once, never correctness.
+pub const CACHE_FORMAT_VERSION: u32 = 4;
+
+/// u64 counters in the footer.
+const FOOTER_COUNTERS: usize = 4;
 
 /// u64 stat fields per entry: 15 pipeline + 5 transform + 2 validation.
 const STAT_FIELDS: usize = 22;
@@ -87,35 +85,12 @@ pub struct LifetimeCounters {
     /// Corrupt cache files quarantined at load, plus persisted entries
     /// refused by hit-revalidation, lifetime.
     pub quarantines: u64,
-    /// Units answered by the incremental hot path — a retained fixpoint
-    /// delta-solved instead of a from-scratch pipeline run — lifetime.
-    /// Like `quarantines`, this has no [`CacheStats`] twin: the engine
-    /// accumulates it directly.
-    pub incremental_hits: u64,
-    /// Blocks actually re-solved across those incremental hits — the
-    /// "charged only for what changed" bill, lifetime.
-    pub delta_blocks_resolved: u64,
-    /// Identical revisions answered by the zero-dirty output memo (no
-    /// solve, rewrite, validation, or print work at all), lifetime.
-    pub zero_dirty_hits: u64,
-    /// Same-shape, same-universe content edits delta-solved, lifetime.
-    pub content_edits: u64,
-    /// Universe-growing edits answered by in-place column widening,
-    /// lifetime.
-    pub universe_grow_edits: u64,
-    /// Universe-shrinking edits answered by column remapping, lifetime.
-    pub universe_shrink_edits: u64,
-    /// One-block shape edits mapped onto the delta path, lifetime.
-    pub shape_mapped_edits: u64,
-    /// Edits that forced the full-solve fallback, lifetime.
-    pub fallback_edits: u64,
 }
 
 impl LifetimeCounters {
     /// These counters plus a process's [`CacheStats`] — the totals to
-    /// persist (and report) after that process's session. The incremental
-    /// counters have no `CacheStats` twin and pass through unchanged; the
-    /// engine adds its session's increments itself.
+    /// persist (and report) after that process's session. `quarantines`
+    /// has no `CacheStats` twin and passes through unchanged.
     pub fn plus_session(mut self, session: CacheStats) -> Self {
         self.hits += session.hits as u64;
         self.misses += session.misses as u64;
@@ -128,22 +103,8 @@ impl fmt::Display for LifetimeCounters {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} hits, {} misses, {} evictions, {} quarantines, \
-             {} incremental hits, {} delta blocks, {} zero-dirty hits; \
-             edits: {} content, {} universe-grow, {} universe-shrink, \
-             {} shape-mapped, {} fallback",
-            self.hits,
-            self.misses,
-            self.evictions,
-            self.quarantines,
-            self.incremental_hits,
-            self.delta_blocks_resolved,
-            self.zero_dirty_hits,
-            self.content_edits,
-            self.universe_grow_edits,
-            self.universe_shrink_edits,
-            self.shape_mapped_edits,
-            self.fallback_edits
+            "{} hits, {} misses, {} evictions, {} quarantines",
+            self.hits, self.misses, self.evictions, self.quarantines
         )
     }
 }
@@ -269,14 +230,6 @@ pub fn save_cache(path: &Path, cache: &PlanCache, counters: LifetimeCounters) ->
         counters.misses,
         counters.evictions,
         counters.quarantines,
-        counters.incremental_hits,
-        counters.delta_blocks_resolved,
-        counters.zero_dirty_hits,
-        counters.content_edits,
-        counters.universe_grow_edits,
-        counters.universe_shrink_edits,
-        counters.shape_mapped_edits,
-        counters.fallback_edits,
     ] {
         buf.extend_from_slice(&c.to_le_bytes());
     }
@@ -356,7 +309,7 @@ pub fn load_cache(
         return Err(CacheFileError::BadFooter);
     }
     let footer_start = r.pos - 8;
-    let mut counters = [0u64; 12];
+    let mut counters = [0u64; FOOTER_COUNTERS];
     for c in &mut counters {
         *c = u64::from_le_bytes(r.take(8, "footer counters")?.try_into().unwrap());
     }
@@ -378,14 +331,6 @@ pub fn load_cache(
             misses: counters[1],
             evictions: counters[2],
             quarantines: counters[3],
-            incremental_hits: counters[4],
-            delta_blocks_resolved: counters[5],
-            zero_dirty_hits: counters[6],
-            content_edits: counters[7],
-            universe_grow_edits: counters[8],
-            universe_shrink_edits: counters[9],
-            shape_mapped_edits: counters[10],
-            fallback_edits: counters[11],
         },
     ))
 }
@@ -579,14 +524,6 @@ mod tests {
             misses: 11,
             evictions: 2,
             quarantines: 1,
-            incremental_hits: 5,
-            delta_blocks_resolved: 42,
-            zero_dirty_hits: 9,
-            content_edits: 13,
-            universe_grow_edits: 3,
-            universe_shrink_edits: 2,
-            shape_mapped_edits: 4,
-            fallback_edits: 1,
         };
         save_cache(&path, engine.cache(), counters).unwrap();
 

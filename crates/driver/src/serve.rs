@@ -3,9 +3,9 @@
 //! A [`Daemon`] owns a pool of persistent worker threads, each keeping one
 //! warm [`SolverScratch`] arena across requests (the whole point of
 //! serving: the 2-allocation same-shape solve floor only pays off if the
-//! process outlives a CLI invocation), a shared [`BatchEngine`]'s plan
-//! cache — optionally backed by an `lcm-cache-v1` file (see
-//! [`crate::persist`]) — and a bounded admission queue.
+//! process outlives a CLI invocation), a shared [`BatchEngine`]'s output
+//! memo and plan cache — the cache optionally backed by an `lcm-cache-v1`
+//! file (see [`crate::persist`]) — and a bounded admission queue.
 //!
 //! The robustness contract, each clause pinned by tests:
 //!
@@ -52,9 +52,8 @@ use crate::protocol::{
     ERR_DRAINING, ERR_PARSE, ERR_TOO_LARGE,
 };
 use crate::{
-    cache, fingerprint_with_context, incremental_eligible, isolate, optimize_unit,
-    optimize_unit_incremental, options_tag, resolve_jobs, unit_context, BatchEngine, BatchOptions,
-    CacheEntry, FailureKind, LoadStatus, PrevSolve, UnitError,
+    cache, fingerprint_with_context, isolate, optimize_unit, resolve_jobs, unit_context,
+    BatchEngine, BatchOptions, CacheEntry, FailureKind, LoadStatus, UnitError,
 };
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -183,12 +182,19 @@ impl Core {
             if q_stop { " (stopping)" } else { "" },
         );
         out.push_str(&format!("cache: {s}, {} entries\n", engine.cache().len()));
-        let (inc_hits, delta_blocks) = engine.incremental_session();
+        // The `incremental:` and `edit classes:` lines keep the field names
+        // load generators parse: `hits` counts delta-solved units, which
+        // no longer exist, and every recompute of a memoized function is
+        // a `fallback`.
+        let memo = engine.memo_stats();
         out.push_str(&format!(
-            "incremental: {inc_hits} hits, {delta_blocks} delta blocks resolved, {} states retained\n",
-            engine.prev_solves_len()
+            "incremental: 0 hits, {} memos retained\n",
+            engine.memos_len()
         ));
-        out.push_str(&format!("edit classes: {}\n", engine.edit_classes()));
+        out.push_str(&format!(
+            "edit classes: {} fallback, {} zero-dirty\n",
+            memo.recomputes, memo.hits
+        ));
         if let Some(l) = engine.lifetime() {
             out.push_str(&format!("lifetime: {l}\n"));
         }
@@ -373,8 +379,8 @@ fn worker_loop(core: &Arc<Core>) {
     }
 }
 
-/// Optimizes one unit: budget check, cache lookup (with re-validation),
-/// compute on miss, cache fill.
+/// Optimizes one unit: budget check, memo replay, cache lookup (with
+/// re-validation), compute on miss, memo and cache fill.
 fn process_job(core: &Arc<Core>, scratch: &mut SolverScratch, job: UnitJob) -> Response {
     if job.cancel.load(Ordering::Relaxed) {
         return unit_err_response(
@@ -406,53 +412,40 @@ fn process_job(core: &Arc<Core>, scratch: &mut SolverScratch, job: UnitJob) -> R
     }
 
     let opts = core.opts.batch;
-    let incremental = incremental_eligible(opts.placement, job.weights.as_ref())
-        && job.deadline.is_none()
-        && job.fuel == 0;
+    // Budgeted units skip the memo: their answer may be a cancellation,
+    // and a budget is a request to run the pipeline under it.
+    let memo = job.deadline.is_none() && job.fuel == 0;
+    let fp =
+        (memo || opts.use_cache).then(|| fingerprint_with_context(&job.function, &job.context));
+    let memo_key = fp.as_ref().filter(|_| memo).map(|(key, _)| *key);
 
-    // The zero-dirty memo: an identical revision of a function we hold
-    // retained state for replays the memoized output verbatim — checked
-    // *before* the plan cache because the memo was validated when it was
+    // The zero-dirty memo, checked *before* the plan cache: the memo was
     // produced in this very process, so a hit skips even re-validation.
-    // Any edit changes the fingerprint and any option change breaks the
-    // tag, so a dirty function can never match.
-    let mut fp: Option<(u128, String)> = None;
-    if incremental {
-        let (key, text) = fingerprint_with_context(&job.function, &job.context);
-        let tag = options_tag(&opts);
+    if let Some(key) = memo_key {
         let mut engine = core.engine.lock().expect("engine lock");
-        if let Some(p) = engine.take_prev_solve(&job.name) {
-            if p.key == key && p.opts_tag == tag {
-                let output = cache::with_name(&p.output_text, &job.name);
-                engine.note_zero_dirty();
-                engine.put_prev_solve(&job.name, p);
-                return Response::UnitOk {
-                    index: job.index,
-                    output,
-                };
-            }
-            engine.put_prev_solve(&job.name, p);
+        if let Some(text) = engine.replay_memo(&job.name, key) {
+            return Response::UnitOk {
+                index: job.index,
+                output: cache::with_name(&text, &job.name),
+            };
         }
-        fp = Some((key, text));
     }
 
-    let cached: Option<(u128, String, Option<CacheEntry>)> = if opts.use_cache {
-        let (key, text) = fp
-            .take()
-            .unwrap_or_else(|| fingerprint_with_context(&job.function, &job.context));
-        let mut engine = core.engine.lock().expect("engine lock");
-        let entry = engine.cache().get(key, &text).cloned();
-        if entry.is_some() {
-            engine.cache_mut().note_hit();
-        } else {
-            engine.cache_mut().note_miss();
+    let cached: Option<(u128, Option<CacheEntry>)> = match &fp {
+        Some((key, text)) if opts.use_cache => {
+            let mut engine = core.engine.lock().expect("engine lock");
+            let entry = engine.cache().get(*key, text).cloned();
+            if entry.is_some() {
+                engine.cache_mut().note_hit();
+            } else {
+                engine.cache_mut().note_miss();
+            }
+            Some((*key, entry))
         }
-        Some((key, text, entry))
-    } else {
-        None
+        _ => None,
     };
 
-    if let Some((key, _, Some(entry))) = &cached {
+    if let Some((key, Some(entry))) = &cached {
         let is_thin = entry.origin.is_none();
         match isolate(AssertUnwindSafe(|| {
             crate::revalidate_entry(entry, opts.seed)
@@ -463,7 +456,7 @@ fn process_job(core: &Arc<Core>, scratch: &mut SolverScratch, job: UnitJob) -> R
                     output: cache::with_name(&entry.output_text, &job.name),
                 };
             }
-            Err(e) if is_thin => {
+            Err(_) if is_thin => {
                 // A persisted entry that fails re-validation is quarantined
                 // (evicted + counted) and the unit recomputed from scratch:
                 // disk corruption must cost warmth, not correctness — and
@@ -471,8 +464,6 @@ fn process_job(core: &Arc<Core>, scratch: &mut SolverScratch, job: UnitJob) -> R
                 let mut engine = core.engine.lock().expect("engine lock");
                 engine.cache_mut().remove(*key);
                 engine.note_entry_quarantine();
-                drop(engine);
-                let _ = e;
             }
             Err(e) => {
                 // An entry poisoned *in this process* is a real fault; the
@@ -480,63 +471,6 @@ fn process_job(core: &Arc<Core>, scratch: &mut SolverScratch, job: UnitJob) -> R
                 return unit_err_response(job.index, &job.name, &e);
             }
         }
-    }
-
-    // The incremental hot path: for un-budgeted plain-LCM units, reuse the
-    // fixpoints retained from this function's previous revision and charge
-    // only for the blocks the edit can reach. Budgeted units keep the
-    // budget-enforcing pipeline; output text is bit-identical either way
-    // (pinned by `tests/incremental.rs` and the serve smoke in ci.sh).
-    if incremental {
-        let key = match (&cached, &fp) {
-            (Some((key, _, _)), _) => *key,
-            (None, Some((key, _))) => *key,
-            (None, None) => fingerprint_with_context(&job.function, &job.context).0,
-        };
-        let prev = {
-            let mut engine = core.engine.lock().expect("engine lock");
-            engine.take_prev_solve(&job.name)
-        };
-        let had_prev = prev.is_some();
-        let computed = isolate(AssertUnwindSafe(|| {
-            optimize_unit_incremental(
-                &job.function,
-                &opts,
-                &job.context,
-                prev.as_ref().map(|p| &p.state),
-                scratch,
-            )
-        }));
-        return match computed {
-            Ok((entry, state, stats, phases)) => {
-                let output = cache::with_name(&entry.output_text, &job.name);
-                let mut engine = core.engine.lock().expect("engine lock");
-                if had_prev && !stats.full_fallback {
-                    engine.note_incremental_hit(stats.delta_blocks_resolved as u64);
-                }
-                if had_prev {
-                    engine.note_edit_class(&stats);
-                }
-                engine.note_phases(phases);
-                engine.put_prev_solve(
-                    &job.name,
-                    PrevSolve {
-                        key,
-                        state,
-                        output_text: entry.output_text.clone(),
-                        opts_tag: options_tag(&opts),
-                    },
-                );
-                if cached.is_some() {
-                    engine.cache_mut().insert(key, entry);
-                }
-                Response::UnitOk {
-                    index: job.index,
-                    output,
-                }
-            }
-            Err(e) => unit_err_response(job.index, &job.name, &e),
-        };
     }
 
     let computed = isolate(AssertUnwindSafe(|| {
@@ -552,9 +486,12 @@ fn process_job(core: &Arc<Core>, scratch: &mut SolverScratch, job: UnitJob) -> R
     match computed {
         Ok(entry) => {
             let output = cache::with_name(&entry.output_text, &job.name);
-            if let Some((key, _, _)) = &cached {
-                let mut engine = core.engine.lock().expect("engine lock");
-                engine.cache_mut().insert(*key, entry);
+            let mut engine = core.engine.lock().expect("engine lock");
+            if let Some(key) = memo_key {
+                engine.record_memo(&job.name, key, entry.output_text.clone());
+            }
+            if let Some((key, _)) = cached {
+                engine.cache_mut().insert(key, entry);
             }
             Response::UnitOk {
                 index: job.index,

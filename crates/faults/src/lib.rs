@@ -17,8 +17,8 @@
 //! pipeline depends on it.
 
 use lcm_core::{
-    apply_plan, lazy_edge_plan_with, ExprUniverse, GlobalAnalyses, IncrementalState,
-    LocalPredicates, Optimized, PipelineError, PreAlgorithm,
+    apply_plan, lazy_edge_plan_with, ExprUniverse, GlobalAnalyses, LocalPredicates, Optimized,
+    PipelineError, PreAlgorithm,
 };
 use lcm_dataflow::{CfgView, SolveStrategy, SolverScratch};
 use lcm_driver::PlanCache;
@@ -339,13 +339,13 @@ pub fn corrupt_cache_file(
             }
         }
         CacheFileFault::CounterTamper => {
-            // The footer is the trailing 64 bytes: 8 magic + 48 counters +
+            // The footer is the trailing 48 bytes: 8 magic + 32 counters +
             // 8 checksum. Perturb one counter byte, leave the checksum.
-            if bytes.len() < 64 {
+            if bytes.len() < 48 {
                 false
             } else {
-                let base = bytes.len() - 56;
-                let i = base + (splitmix64(&mut state) % 48) as usize;
+                let base = bytes.len() - 40;
+                let i = base + (splitmix64(&mut state) % 32) as usize;
                 bytes[i] = bytes[i].wrapping_add(1);
                 true
             }
@@ -488,20 +488,6 @@ pub fn optimize_with_dropped_store_kill(
     }))
 }
 
-/// Scrambles the retained AVAIL/ANTIC/LATER fixpoints of an
-/// [`IncrementalState`] in place — modelling a daemon's per-function
-/// `PrevSolve` state rotting (or bleeding) between requests, the
-/// incremental twin of scratch poisoning. The scramble is seeded and
-/// always lands; shape invariants are preserved, so the poisoned state is
-/// *plausible*: the delta solver will happily reuse it, and only the
-/// unconditional fast-tier validation inside `optimize_incremental` (or a
-/// loud solver divergence) stands between the garbage and the output. The
-/// faults suite pins that dichotomy: every poisoned run is caught or
-/// bit-identical to fresh, never silently wrong.
-pub fn poison_prev_solve(state: &mut IncrementalState, seed: u64) {
-    state.poison_solutions(seed);
-}
-
 /// Corrupts a retained zero-dirty output memo in place — seeded garbage
 /// over the memoized output text and, when `stale_key`, a flipped
 /// fingerprint key, modelling a memo that outlived the revision it was
@@ -510,11 +496,11 @@ pub fn poison_prev_solve(state: &mut IncrementalState, seed: u64) {
 /// tag both match exactly, so a dirty function can never meet the garbage
 /// (its fingerprint differs) and a stale key can never be served (nothing
 /// fingerprints to it). The faults suite pins both halves.
-pub fn poison_output_memo(prev: &mut lcm_driver::PrevSolve, seed: u64, stale_key: bool) {
+pub fn poison_output_memo(memo: &mut lcm_driver::OutputMemo, seed: u64, stale_key: bool) {
     let mut state = seed ^ 0x5EED_FA17_u64;
-    prev.output_text = format!("; poisoned memo {:016x}\n", splitmix64(&mut state));
+    memo.output_text = format!("; poisoned memo {:016x}\n", splitmix64(&mut state));
     if stale_key {
-        prev.key ^= 1 | (u128::from(splitmix64(&mut state)) << 64);
+        memo.key ^= 1 | (u128::from(splitmix64(&mut state)) << 64);
     }
 }
 
@@ -875,14 +861,12 @@ mod tests {
 
         // A dirty function with a poisoned memo (key intact): the edit
         // changes the fingerprint, so the memo is bypassed, the unit
-        // delta-solves, and the garbage text never surfaces.
+        // recomputes, and the garbage text never surfaces.
         let mut engine = BatchEngine::new(BatchOptions::default());
         engine.run_module_incremental(&m0);
-        let mut prev = engine.take_prev_solve("d").unwrap();
-        poison_output_memo(&mut prev, 3, false);
-        engine.put_prev_solve("d", prev);
+        poison_output_memo(engine.memo_mut("d").unwrap(), 3, false);
         let units = engine.run_module_incremental(&m1);
-        assert_ne!(units[0].mode, IncrementalMode::ZeroDirty);
+        assert_eq!(units[0].mode, IncrementalMode::Recomputed);
         assert_eq!(units[0].outcome.clone().unwrap(), want);
 
         // An *identical* revision against a memo whose key rotted: nothing
@@ -893,11 +877,9 @@ mod tests {
             .outcome
             .clone()
             .unwrap();
-        let mut prev = engine.take_prev_solve("d").unwrap();
-        poison_output_memo(&mut prev, 4, true);
-        engine.put_prev_solve("d", prev);
+        poison_output_memo(engine.memo_mut("d").unwrap(), 4, true);
         let units = engine.run_module_incremental(&m0);
-        assert_ne!(units[0].mode, IncrementalMode::ZeroDirty);
+        assert_eq!(units[0].mode, IncrementalMode::Recomputed);
         assert_eq!(units[0].outcome.clone().unwrap(), first);
         // ... after which the honest memo is back: the next identical
         // revision replays it.

@@ -100,6 +100,18 @@ fn every_corruption_class_is_refused_across_seeds() {
                                  if found == CACHE_FORMAT_VERSION + 1),
                         "got {err}"
                     );
+                    // Retired formats (wider counter footers) skew the
+                    // same way: refused on the version, before any entry.
+                    for old in [2u32, 3] {
+                        let mut bytes = std::fs::read(&path).unwrap();
+                        bytes[8..12].copy_from_slice(&old.to_le_bytes());
+                        std::fs::write(&path, &bytes).unwrap();
+                        assert!(
+                            matches!(load_cache(&path, 0),
+                                     Err(CacheFileError::VersionSkew { found }) if found == old),
+                            "v{old} was not refused as version skew"
+                        );
+                    }
                 }
                 CacheFileFault::CounterTamper => {
                     assert!(matches!(err, CacheFileError::FooterChecksum), "got {err}");

@@ -20,8 +20,8 @@
 //! cache, admission control); `request` is its client. See
 //! `lcmopt serve --help` and `lcmopt request --help`. The `watch`
 //! subcommand re-optimizes a module file whenever it changes on disk,
-//! delta-solving each edit against the previous revision's retained
-//! fixpoints; see `lcmopt watch --help`.
+//! replaying the memoized output of every function the save left
+//! untouched; see `lcmopt watch --help`.
 //!
 //! OPTIONS:
 //!   -p, --passes LIST    comma-separated pass pipeline (default:
@@ -70,8 +70,8 @@ use lcm::driver::protocol::{
 };
 use lcm::driver::serve::{Daemon, ServeOptions};
 use lcm::driver::{
-    report as batch_report, text_from_bytes, BatchEngine, BatchOptions, BatchUnit, IncrementalMode,
-    LoadError, LoadStatus, UnitOutcome,
+    report as batch_report, text_from_bytes, BatchEngine, BatchOptions, BatchUnit, LoadError,
+    LoadStatus, UnitOutcome,
 };
 use lcm::interp::{run, Inputs};
 use lcm::ir::{
@@ -963,15 +963,13 @@ fn watch_usage() -> &'static str {
      PATH] [--placement lcm|bcm|spec] [--solver rr|wl|scc] \
      [--validate[=off|fast|full]] <FILE>\n\
      Optimizes the module in FILE, then polls it and re-optimizes on every \
-     change. Each function's AVAIL/ANTIC/LATER fixpoints are retained \
-     between revisions, so an edit is answered by an SCC-scoped delta \
-     solve that charges only for the blocks it can reach (a CFG-shape or \
-     universe change falls back to a full solve). Output is byte-identical \
-     to `lcmopt batch` on the same revision.\n\
+     change. Each function's optimized output is memoized by content \
+     fingerprint, so a function the save left untouched is replayed \
+     (zero-dirty) and only edited functions are recomputed. Output is \
+     byte-identical to `lcmopt batch` on the same revision.\n\
      The optimized module goes to stdout after every run, or to PATH with \
-     --output (rewritten in place). Per-iteration stats — fresh/delta/\
-     fallback per function, dirty blocks, block rows re-solved — go to \
-     stderr.\n\
+     --output (rewritten in place). Per-iteration stats — fresh, \
+     recomputed or zero-dirty per function — go to stderr.\n\
      --iterations N exits after N re-optimizations beyond the initial one \
      (0, the default, watches until interrupted); a transiently unreadable \
      or unparseable save is reported and skipped, not fatal.\n\
@@ -1050,7 +1048,7 @@ fn parse_watch_args(mut args: impl Iterator<Item = String>) -> Result<Option<Wat
 }
 
 /// One watched re-optimization: runs the module through the engine's
-/// incremental path, emits per-function stats on stderr and the optimized
+/// output memo, emits per-function stats on stderr and the optimized
 /// module on stdout (or into `--output`). Returns how many units failed.
 fn watch_once(
     engine: &mut BatchEngine,
@@ -1062,27 +1060,11 @@ fn watch_once(
     let units = engine.run_module_incremental(module);
     let mut failed = 0usize;
     for u in &units {
-        match u.mode {
-            IncrementalMode::Delta | IncrementalMode::Fallback => eprintln!(
-                "lcmopt watch[{iteration}]: fn {}: {}, {} dirty, {} of {} block rows re-solved",
-                u.name,
-                u.mode.name(),
-                u.stats.dirty_blocks,
-                u.stats.delta_blocks_resolved,
-                3 * u.blocks,
-            ),
-            IncrementalMode::ZeroDirty => eprintln!(
-                "lcmopt watch[{iteration}]: fn {}: zero-dirty, 0 dirty, output memo replayed",
-                u.name,
-            ),
-            IncrementalMode::Fresh | IncrementalMode::OneShot => {
-                eprintln!(
-                    "lcmopt watch[{iteration}]: fn {}: {}",
-                    u.name,
-                    u.mode.name()
-                );
-            }
-        }
+        eprintln!(
+            "lcmopt watch[{iteration}]: fn {}: {}",
+            u.name,
+            u.mode.name()
+        );
         if let Err(e) = &u.outcome {
             failed += 1;
             eprintln!(
@@ -1093,15 +1075,13 @@ fn watch_once(
             );
         }
     }
-    let (hits, delta_blocks) = engine.incremental_session();
-    let phases = engine.incremental_phases();
+    let memo = engine.memo_stats();
     eprintln!(
-        "lcmopt watch[{iteration}]: {} ok, {failed} failed; session: {hits} incremental hits, \
-         {delta_blocks} delta block rows; edits: {}; solve {:.3?} / tail {:.3?}; {:.3?}",
+        "lcmopt watch[{iteration}]: {} ok, {failed} failed; session: {} zero-dirty, \
+         {} recomputed; {:.3?}",
         units.len() - failed,
-        engine.edit_classes(),
-        std::time::Duration::from_nanos(phases.solve_ns),
-        std::time::Duration::from_nanos(phases.tail_ns),
+        memo.hits,
+        memo.recomputes,
         start.elapsed()
     );
     let text = batch_report::render_incremental_text(&units);
@@ -1119,7 +1099,8 @@ fn run_watch(cli: WatchCli) -> Result<(), Failure> {
         placement: cli.placement,
         validate: cli.validate,
         seed: VALIDATION_SEED,
-        use_cache: true,
+        // Watch reuses work through the output memo alone.
+        use_cache: false,
         cache_capacity: 4096,
         strategy: cli.solver,
     };

@@ -1,16 +1,15 @@
 //! The `lcmopt watch` engine: [`BatchEngine::run_module_incremental`]
 //! answers every revision of a module byte-identically to a one-shot
 //! batch on the same revision, while its mode accounting tracks what
-//! actually changed — fresh on first sight, an SCC-scoped delta on a
-//! content edit (re-solving strictly fewer block rows than a full solve),
-//! a *mapped* delta on a recognized one-block shape edit, and a zero-dirty
-//! memo replay for functions the revision didn't touch at all.
+//! actually changed — fresh on first sight, recomputed after an edit
+//! (content or CFG shape alike), and a zero-dirty memo replay for
+//! functions the revision didn't touch at all.
 
-use lcm::driver::{report, BatchEngine, BatchOptions, EditClassCounters, IncrementalMode};
+use lcm::driver::{report, BatchEngine, BatchOptions, IncrementalMode, MemoStats};
 use lcm::ir::parse_module;
 
 /// Revision 0: the classic diamond, plus a straight-line function that
-/// never changes (its delta solves should be free).
+/// never changes (its memo replays should be free).
 const REV0: &str = "fn d {
 entry:
   br c, l, r
@@ -40,8 +39,7 @@ fn rev1() -> String {
 }
 
 /// A shape edit: `r` now reaches `join` through a fresh straight-line
-/// block — the inserted-block pattern the shape mapper recognizes, so the
-/// delta path survives with permuted rows instead of falling back.
+/// block.
 fn rev2() -> String {
     rev1().replace("r:\n  jmp join", "r:\n  jmp detour\ndetour:\n  jmp join")
 }
@@ -68,53 +66,46 @@ fn watched_revisions_match_one_shot_batches_byte_for_byte() {
 }
 
 #[test]
-fn modes_and_delta_accounting_track_what_changed() {
+fn modes_and_memo_accounting_track_what_changed() {
     let mut watch = BatchEngine::new(BatchOptions::default());
+    let modes = |units: &[lcm::driver::IncrementalUnit]| -> Vec<IncrementalMode> {
+        units.iter().map(|u| u.mode).collect()
+    };
+    use IncrementalMode::{Fresh, Recomputed, ZeroDirty};
 
     let m0 = parse_module(REV0).unwrap();
     let units = watch.run_module_incremental(&m0);
-    assert!(
-        units.iter().all(|u| u.mode == IncrementalMode::Fresh),
-        "first sight must solve fresh"
-    );
-    assert_eq!(watch.incremental_session(), (0, 0));
-    assert_eq!(watch.edit_classes(), EditClassCounters::default());
+    assert_eq!(modes(&units), [Fresh, Fresh], "first sight must compute");
+    assert_eq!(watch.memo_stats(), MemoStats::default());
 
-    // Content edit: `d` delta-solves strictly fewer rows than a full
-    // solve would pay; byte-identical `straight` never reaches the solver
-    // at all — its memoized output is replayed.
+    // Content edit: `d` recomputes; byte-identical `straight` never
+    // reaches the pipeline at all — its memoized output is replayed.
     let m1 = parse_module(&rev1()).unwrap();
     let units = watch.run_module_incremental(&m1);
-    let d = &units[0];
-    assert_eq!(d.mode, IncrementalMode::Delta);
-    assert!(d.stats.dirty_blocks >= 1);
-    assert!(
-        d.stats.delta_blocks_resolved < 3 * d.blocks,
-        "delta paid {} rows, a full solve pays {}",
-        d.stats.delta_blocks_resolved,
-        3 * d.blocks
+    assert_eq!(modes(&units), [Recomputed, ZeroDirty]);
+    assert_eq!(
+        watch.memo_stats(),
+        MemoStats {
+            hits: 1,
+            recomputes: 1
+        }
     );
-    let s = &units[1];
-    assert_eq!(s.mode, IncrementalMode::ZeroDirty);
-    assert_eq!(s.stats.dirty_blocks, 0);
-    assert_eq!(s.stats.delta_blocks_resolved, 0);
-    let (hits, _) = watch.incremental_session();
-    assert_eq!(hits, 1, "a memo replay is not a delta solve");
-    assert_eq!(watch.edit_classes().content, 1);
-    assert_eq!(watch.edit_classes().zero_dirty, 1);
 
-    // Shape edit: the inserted `detour` block is one of the two mapped
-    // patterns, so the delta path survives (no fallback) and the edit
-    // ledger records it; `straight` replays its memo again.
+    // Shape edit: the same two paths — the memo does not care what kind
+    // of edit changed the fingerprint.
     let m2 = parse_module(&rev2()).unwrap();
     let units = watch.run_module_incremental(&m2);
-    assert_eq!(units[0].mode, IncrementalMode::Delta);
-    assert!(units[0].stats.shape_mapped);
-    assert!(!units[0].stats.full_fallback);
-    assert_eq!(units[1].mode, IncrementalMode::ZeroDirty);
-    let (hits, _) = watch.incremental_session();
-    assert_eq!(hits, 2, "the mapped shape edit is a delta hit");
-    assert_eq!(watch.edit_classes().shape_mapped, 1);
-    assert_eq!(watch.edit_classes().zero_dirty, 2);
-    assert_eq!(watch.edit_classes().fallback, 0);
+    assert_eq!(modes(&units), [Recomputed, ZeroDirty]);
+
+    // The same revision again: everything replays.
+    let units = watch.run_module_incremental(&m2);
+    assert_eq!(modes(&units), [ZeroDirty, ZeroDirty]);
+    assert_eq!(
+        watch.memo_stats(),
+        MemoStats {
+            hits: 4,
+            recomputes: 2
+        }
+    );
+    assert_eq!(watch.memos_len(), 2);
 }
