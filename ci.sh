@@ -8,8 +8,8 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo build --release"
 cargo build --release
@@ -38,19 +38,16 @@ for emit in text stats json; do
   diff "$SMOKE/$emit.j1" "$SMOKE/$emit.jn"
 done
 
-# Solver-strategy smoke: every strategy must produce the same optimized
-# output, and stats emission must be run-to-run deterministic per strategy.
-echo "==> solver smoke: --solver rr|wl|scc agree; --emit stats deterministic"
-for solver in rr wl scc; do
+# Stats determinism smoke: two runs of --emit stats (solver counters
+# included) must print the same bytes. Agreement between the round-robin
+# reference and the SCC-priority solver is pinned by
+# tests/strategy_corpus.rs and tests/solver_equivalence.rs.
+echo "==> stats smoke: --emit stats is run-to-run deterministic"
+for run in a b; do
   cargo run -q --release --bin lcmopt -- batch "$SMOKE/corpus.lcm" \
-    --solver "$solver" --emit text > "$SMOKE/text.$solver" 2>/dev/null
-  diff "$SMOKE/text.j1" "$SMOKE/text.$solver"
-  cargo run -q --release --bin lcmopt -- batch "$SMOKE/corpus.lcm" \
-    --solver "$solver" --emit stats > "$SMOKE/stats.$solver.a" 2>/dev/null
-  cargo run -q --release --bin lcmopt -- batch "$SMOKE/corpus.lcm" \
-    --solver "$solver" --emit stats > "$SMOKE/stats.$solver.b" 2>/dev/null
-  diff "$SMOKE/stats.$solver.a" "$SMOKE/stats.$solver.b"
+    --emit stats > "$SMOKE/stats.$run" 2>/dev/null
 done
+diff "$SMOKE/stats.a" "$SMOKE/stats.b"
 
 # Bench smoke: the perf baseline generator runs at CI size and its output
 # conforms to the lcm-bench-v1 schema (validated by the binary itself, no

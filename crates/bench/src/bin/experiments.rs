@@ -816,7 +816,10 @@ fn c3() {
 /// actually occurred. A second, held-out input then shows the cross-input
 /// cost of betting on that distribution.
 fn c5() {
-    use lcm_core::{optimize_speculative, validate::sample_inputs, EdgeWeights};
+    use lcm_core::{
+        validate::sample_inputs, EdgeWeights, OptimizeBudget, Pipeline, ValidationLevel,
+    };
+    use lcm_dataflow::SolverScratch;
     use lcm_ir::Profile;
     use std::cmp::Ordering;
 
@@ -849,7 +852,16 @@ fn c5() {
         };
         let bcm = optimize(f, PreAlgorithm::Busy).expect("bcm");
         let lcm = optimize(f, PreAlgorithm::LazyEdge).expect("lcm");
-        let spec = optimize_speculative(f, &w).expect("spec");
+        let spec = Pipeline {
+            placement: PreAlgorithm::Speculative,
+            weights: Some(&w),
+            validation: ValidationLevel::Off,
+            seed: 0,
+            budget: &OptimizeBudget::unlimited(),
+        }
+        .run(f, &mut SolverScratch::new())
+        .expect("spec")
+        .0;
         let s = spec.spec.expect("speculative runs record stats");
         candidates += s.candidates;
         speculated += s.speculated;
@@ -983,7 +995,7 @@ fn e1() {
 fn a1() {
     header(
         "A1",
-        "ablations: isolation pruning; worklist vs round-robin solver",
+        "ablations: isolation pruning; SCC-priority vs round-robin solver",
     );
     // Isolation: plan sizes and temporary live ranges with/without.
     let programs = corpus(0xAB1A, 200, &GenOptions::default());
@@ -1009,9 +1021,12 @@ fn a1() {
     );
 
     // Solver strategy: identical fixpoints, different visit counts.
-    use lcm_dataflow::{Confluence, Direction, Problem, Transfer};
+    use lcm_dataflow::{
+        CfgView, Confluence, Direction, Problem, SolveStrategy, SolverScratch, Transfer,
+    };
+    let mut scratch = SolverScratch::new();
     let mut rr_visits = 0usize;
-    let mut wl_visits = 0usize;
+    let mut scc_visits = 0usize;
     for f in lcm_bench::sized_corpus(150, 10) {
         let uni = ExprUniverse::of(&f);
         let local = LocalPredicates::compute(&f, &uni);
@@ -1032,14 +1047,14 @@ fn a1() {
             transfer,
         );
         let rr = p.solve();
-        let wl = p.solve_worklist();
-        assert_eq!(rr.ins, wl.ins);
+        let scc = p.solve_with(SolveStrategy::SccPriority, &CfgView::new(&f), &mut scratch);
+        assert_eq!(rr.ins, scc.ins);
         rr_visits += rr.stats.node_visits;
-        wl_visits += wl.stats.node_visits;
+        scc_visits += scc.stats.node_visits;
     }
     oln!(
-        "anticipability on 10 programs of ~150 blocks: round-robin {} node visits, worklist {} node visits (identical fixpoints)",
-        rr_visits, wl_visits
+        "anticipability on 10 programs of ~150 blocks: round-robin {} node visits, SCC-priority {} node visits (identical fixpoints)",
+        rr_visits, scc_visits
     );
 }
 
@@ -1063,7 +1078,7 @@ fn median_ns(mut v: Vec<f64>) -> f64 {
 /// [`lcm_dataflow::SolveStats::allocations`], which the solver increments
 /// on every scratch growth event and result-export clone.
 fn bench(quick: bool) {
-    use lcm_core::{anticipability_problem, availability_problem, lcm, lcm_in};
+    use lcm_core::{anticipability_problem, availability_problem, lcm};
     use lcm_dataflow::{CfgView, SolveStrategy, SolverScratch};
     use std::time::Instant;
 
@@ -1099,11 +1114,15 @@ fn bench(quick: bool) {
         .collect();
 
     // Per-strategy solve cost (one op = one analysis solve) and the
-    // revisit counters that justify the SCC schedule.
+    // revisit counters that justify the SCC schedule over the round-robin
+    // reference.
     let mut scratch = SolverScratch::new();
     let mut solve_ns = Vec::new();
     let mut revisits = Vec::new();
-    for strategy in SolveStrategy::ALL {
+    for (name, strategy) in [
+        ("rr", SolveStrategy::RoundRobin),
+        ("scc", SolveStrategy::SccPriority),
+    ] {
         let mut samples = Vec::new();
         let mut revs = 0u64;
         for rep in 0..reps {
@@ -1124,8 +1143,8 @@ fn bench(quick: bool) {
                 revs = r;
             }
         }
-        solve_ns.push((strategy.name(), median_ns(samples)));
-        revisits.push((strategy.name(), revs));
+        solve_ns.push((name, median_ns(samples)));
+        revisits.push((name, revs));
     }
 
     // Fused pipeline: reused worker scratch vs a fresh scratch per call.
@@ -1134,12 +1153,12 @@ fn bench(quick: bool) {
     for _ in 0..reps {
         let t0 = Instant::now();
         for f in &fns {
-            lcm_in(f, &mut scratch).unwrap();
+            lcm(f, &mut scratch).unwrap();
         }
         reused_samples.push(t0.elapsed().as_nanos() as f64 / fns.len() as f64);
         let t0 = Instant::now();
         for f in &fns {
-            lcm(f).unwrap();
+            lcm(f, &mut SolverScratch::new()).unwrap();
         }
         fresh_samples.push(t0.elapsed().as_nanos() as f64 / fns.len() as f64);
     }
@@ -1151,12 +1170,18 @@ fn bench(quick: bool) {
     let mut cold = SolverScratch::new();
     let per_fn: Vec<u64> = fns
         .iter()
-        .map(|f| lcm_in(f, &mut cold).unwrap().stats.total().allocations)
+        .map(|f| lcm(f, &mut cold).unwrap().stats.total().allocations)
         .collect();
     let reused_total: u64 = per_fn.iter().sum();
     let fresh_total: u64 = fns
         .iter()
-        .map(|f| lcm(f).unwrap().stats.total().allocations)
+        .map(|f| {
+            lcm(f, &mut SolverScratch::new())
+                .unwrap()
+                .stats
+                .total()
+                .allocations
+        })
         .sum();
     let warm_floor = 6u64;
 
@@ -1444,7 +1469,7 @@ fn bench(quick: bool) {
 /// series that `--check` validates as a whole. (PR 7 shipped no baseline
 /// — the daemon PR was perf-neutral on these metrics — so the series
 /// jumps PR 6 -> PR 8 and `--check` names the hole.)
-const BENCH_CURRENT: &str = "BENCH_PR10.json";
+const BENCH_CURRENT: &str = "BENCH_PR13.json";
 
 /// The committed baseline series: every `BENCH_PR<n>.json` in the working
 /// directory, sorted by PR number.
@@ -1499,9 +1524,10 @@ fn bench_check_file(name: &str, newest: bool) {
             fail(format!("missing section \"{section}\""));
         }
     }
+    // `wl` (the retired worklist schedule) is not required: older
+    // committed files still carry it, newer ones do not.
     for key in [
         "rr",
-        "wl",
         "scc",
         "reused_scratch",
         "fresh_scratch",

@@ -54,10 +54,12 @@ pub fn lcm_analysis_cost(f: &Function) -> SolveStats {
 }
 
 /// Cost of the same analysis stack on the fused pipeline (shared
-/// [`CfgView`](lcm_dataflow::CfgView), change-driven worklist solver),
-/// broken out per analysis.
+/// [`CfgView`](lcm_dataflow::CfgView), SCC-priority solver), broken out
+/// per analysis.
 pub fn fused_analysis_cost(f: &Function) -> PipelineStats {
-    lcm(f).expect("benchmark analyses converge").stats
+    lcm(f, &mut lcm_dataflow::SolverScratch::new())
+        .expect("benchmark analyses converge")
+        .stats
 }
 
 /// Cost of the Morel–Renvoise system (availability, partial availability,

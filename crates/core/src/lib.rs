@@ -51,8 +51,9 @@
 //! ```
 //!
 //! For a pass boundary with the paper invariants re-checked, use
-//! [`optimize_checked`], which validates the result at the requested
-//! [`validate::ValidationLevel`] before returning it.
+//! [`Pipeline::run`], which validates the result at the requested
+//! [`validate::ValidationLevel`] (under an [`OptimizeBudget`]) before
+//! returning it.
 
 mod analyses;
 mod bcm;
@@ -82,12 +83,10 @@ pub use analyses::{
 };
 pub use bcm::busy_plan;
 pub use budget::{CancelReason, Cancelled, OptimizeBudget};
-pub use lcm_edge::{
-    later_problem, lazy_edge_plan, lazy_edge_plan_in, lazy_edge_plan_with, LazyEdgeResult,
-};
+pub use lcm_edge::{later_problem, lazy_edge_plan, lazy_edge_plan_with, LazyEdgeResult};
 pub use lcm_node::{lazy_node_plan, LazyNodeResult};
 pub use morel_renvoise::{morel_renvoise_plan, MorelRenvoiseResult};
-pub use pipeline::{lcm, lcm_in, lcm_with, LcmPipeline, PipelineStats};
+pub use pipeline::{lcm, LcmPipeline, PipelineStats};
 pub use predicates::LocalPredicates;
 pub use speculate::{speculative_plan, weights_or_unit, EdgeWeights, SpecResult, SpecStats};
 pub use transform::{apply_plan, PlacementPlan, TransformResult};
@@ -97,7 +96,7 @@ pub use validate::{check_memory_kills, ValidationError, ValidationLevel, Validat
 use std::error::Error;
 use std::fmt;
 
-use lcm_dataflow::{SolveStrategy, SolverDiverged, SolverScratch};
+use lcm_dataflow::{SolverDiverged, SolverScratch};
 use lcm_ir::Function;
 
 /// Why a PRE pass could not produce (or could not stand behind) a result.
@@ -180,7 +179,7 @@ pub enum PreAlgorithm {
     /// [`PreAlgorithm::ALL`] because it is not admissible in the paper's
     /// sense (it may add evaluations to cold paths) and needs a profile to
     /// be meaningful — [`optimize`] runs it with unit weights; pass real
-    /// weights via [`optimize_speculative`].
+    /// weights via [`Pipeline::weights`].
     Speculative,
 }
 
@@ -238,306 +237,145 @@ pub struct Optimized {
 /// Runs one PRE algorithm end to end: analyses → placement plan →
 /// rewriting. No clean-up passes are run; compose with
 /// [`passes::copy_propagation`] and [`passes::dce`] for a full pipeline
-/// (or use [`optimize_pipeline`]).
+/// (or use [`optimize_pipeline`]). [`PreAlgorithm::Speculative`] runs on
+/// unit weights here; pass a profile's weights through [`Pipeline`].
 ///
 /// # Errors
 ///
 /// Returns [`PipelineError::Solver`] if any analysis exceeds its derived
 /// sweep bound (possible only with corrupted transfer functions).
 pub fn optimize(f: &Function, algorithm: PreAlgorithm) -> Result<Optimized, PipelineError> {
-    optimize_with(
-        f,
-        algorithm,
-        SolveStrategy::default(),
-        &mut SolverScratch::new(),
-    )
+    place(f, algorithm, None, &mut SolverScratch::new())
 }
 
-/// [`optimize`] with an explicit [`SolveStrategy`] and a caller-owned
-/// [`SolverScratch`]. Only [`PreAlgorithm::LazyEdge`] runs the fused
-/// pipeline that consults them; the other algorithms solve their analyses
-/// standalone and ignore both (every strategy reaches the same fixpoints,
-/// so the choice never changes a plan — see `tests/solver_equivalence.rs`).
-///
-/// # Errors
-///
-/// Returns [`PipelineError::Solver`] if any analysis exceeds its derived
-/// sweep bound.
-pub fn optimize_with(
+/// The checked pass boundary: one PRE placement, validated by
+/// [`validate::validate_optimized`], under an [`OptimizeBudget`]. This is
+/// the single entry point the CLI, the batch driver and the daemon run.
+#[derive(Clone, Copy, Debug)]
+pub struct Pipeline<'a> {
+    /// The PRE algorithm to run.
+    pub placement: PreAlgorithm,
+    /// Edge weights for [`PreAlgorithm::Speculative`] (ignored by every
+    /// other algorithm); `None` means unit weights, as in [`optimize`].
+    pub weights: Option<&'a EdgeWeights>,
+    /// The validation tier the result is checked at.
+    pub validation: ValidationLevel,
+    /// Seed for the validator's differential execution.
+    pub seed: u64,
+    /// The deadline, fuel and cancel-flag limits of the run.
+    pub budget: &'a OptimizeBudget,
+}
+
+impl Pipeline<'_> {
+    /// Runs the placement on `f` with a caller-owned [`SolverScratch`]
+    /// (the batch driver holds one per worker), then validates it. The
+    /// deadline and cancel flag are checked before solving, after solving,
+    /// and after validation; the fuel ceiling is checked against the fused
+    /// pipeline's node-visit count the moment the solves finish. Fuel is
+    /// only observable for the algorithms that run the fused pipeline
+    /// ([`PreAlgorithm::LazyEdge`] and [`PreAlgorithm::Speculative`]); the
+    /// others report no [`PipelineStats`] and are governed by the deadline
+    /// alone.
+    ///
+    /// Speculative plans get the validator's speculation-aware
+    /// admissibility rule (unsafe points must carry side-effect-free
+    /// expressions) and skip the per-input eval-count non-regression, which
+    /// speculation legitimately trades away on cold paths.
+    ///
+    /// # Errors
+    ///
+    /// [`PipelineError::Cancelled`] when the budget is exceeded,
+    /// [`PipelineError::Solver`] if an analysis diverges, and
+    /// [`PipelineError::Validation`] if the result violates a paper
+    /// invariant.
+    pub fn run(
+        &self,
+        f: &Function,
+        scratch: &mut SolverScratch,
+    ) -> Result<(Optimized, ValidationReport), PipelineError> {
+        self.budget.check("solve")?;
+        let opt = place(f, self.placement, self.weights, scratch)?;
+        let visits = opt
+            .pipeline_stats
+            .as_ref()
+            .map_or(0, |s| s.total().node_visits as u64);
+        self.budget.check_fuel("validate", visits)?;
+        let report = validate::validate_optimized(f, &opt, self.validation, self.seed)?;
+        self.budget.check("finish")?;
+        Ok((opt, report))
+    }
+}
+
+/// Analyses, placement and rewriting for one algorithm — the unchecked
+/// core of [`optimize`] and [`Pipeline::run`]. Only the fused-pipeline
+/// algorithms consult `scratch`; the others solve their analyses
+/// standalone.
+fn place(
     f: &Function,
     algorithm: PreAlgorithm,
-    strategy: SolveStrategy,
+    weights: Option<&EdgeWeights>,
     scratch: &mut SolverScratch,
 ) -> Result<Optimized, PipelineError> {
-    match algorithm {
-        PreAlgorithm::LazyNode | PreAlgorithm::AlmostLazyNode => {
-            let res = lazy_node_plan(f, algorithm == PreAlgorithm::LazyNode)?;
-            let transform = apply_plan(&res.function, &res.universe, &res.local, &res.plan);
-            Ok(Optimized {
-                function: transform.function.clone(),
-                transform,
-                plan: res.plan,
-                input: res.function,
-                algorithm,
-                pipeline_stats: None,
-                spec: None,
-            })
-        }
-        // Without a caller-supplied profile the speculative planner runs
-        // on unit weights; see `optimize_speculative_with`.
-        PreAlgorithm::Speculative => {
-            optimize_speculative_with(f, &EdgeWeights::unit(f), strategy, scratch)
+    if let PreAlgorithm::LazyNode | PreAlgorithm::AlmostLazyNode = algorithm {
+        let res = lazy_node_plan(f, algorithm == PreAlgorithm::LazyNode)?;
+        let transform = apply_plan(&res.function, &res.universe, &res.local, &res.plan);
+        return Ok(Optimized {
+            function: transform.function.clone(),
+            transform,
+            plan: res.plan,
+            input: res.function,
+            algorithm,
+            pipeline_stats: None,
+            spec: None,
+        });
+    }
+    let (uni, local, plan, pipeline_stats, spec) = match algorithm {
+        PreAlgorithm::LazyEdge | PreAlgorithm::Speculative => {
+            let p = lcm(f, scratch)?;
+            let (plan, spec) = if algorithm == PreAlgorithm::Speculative {
+                let unit;
+                let w = match weights {
+                    Some(w) => w,
+                    None => {
+                        unit = EdgeWeights::unit(f);
+                        &unit
+                    }
+                };
+                let s = speculative_plan(f, &p.universe, &p.local, &p.analyses, &p.lazy, w);
+                (s.plan, Some(s.stats))
+            } else {
+                (p.lazy.plan, None)
+            };
+            (p.universe, p.local, plan, Some(p.stats), spec)
         }
         _ => {
             let uni = ExprUniverse::of(f);
             let local = LocalPredicates::compute(f, &uni);
-            let mut pipeline_stats = None;
             let plan = match algorithm {
                 PreAlgorithm::Busy => {
                     let ga = GlobalAnalyses::compute(f, &uni, &local)?;
                     busy_plan(f, &uni, &local, &ga)
-                }
-                PreAlgorithm::LazyEdge => {
-                    // The fused pipeline (shared CfgView, reused scratch)
-                    // reaches the same fixpoints as the per-analysis path;
-                    // see tests/solver_equivalence.rs.
-                    let view = lcm_dataflow::CfgView::new(f);
-                    let ga =
-                        GlobalAnalyses::compute_with(f, &uni, &local, &view, strategy, scratch)?;
-                    let lazy = lazy_edge_plan_with(f, &uni, &local, &ga, &view, strategy, scratch)?;
-                    pipeline_stats = Some(PipelineStats {
-                        avail: ga.avail.stats,
-                        antic: ga.antic.stats,
-                        later: lazy.stats,
-                    });
-                    lazy.plan
                 }
                 PreAlgorithm::MorelRenvoise => morel_renvoise_plan(f, &uni, &local)?.plan,
                 // GCSE's "plan" is the empty plan: the shared transform
                 // machinery then deletes exactly the occurrences whose value
                 // is available from existing computations on all paths.
                 PreAlgorithm::Gcse => PlacementPlan::empty("gcse", f, &uni),
-                PreAlgorithm::LazyNode
-                | PreAlgorithm::AlmostLazyNode
-                | PreAlgorithm::Speculative => unreachable!(),
+                other => unreachable!("{} is planned above", other.name()),
             };
-            let transform = apply_plan(f, &uni, &local, &plan);
-            Ok(Optimized {
-                function: transform.function.clone(),
-                transform,
-                plan,
-                input: f.clone(),
-                algorithm,
-                pipeline_stats,
-                spec: None,
-            })
+            (uni, local, plan, None, None)
         }
-    }
-}
-
-/// Profile-guided speculative PRE: the lazy-code-motion pipeline followed
-/// by the per-expression min-cut improvement of [`speculative_plan`] under
-/// the edge weights `w` (see [`speculate`] for the construction). The
-/// resulting plan is admissible *except* where an expression is provably
-/// side-effect-free, and under an exact profile its weighted evaluation
-/// count never exceeds lazy code motion's.
-///
-/// # Errors
-///
-/// Returns [`PipelineError::Solver`] if any analysis exceeds its derived
-/// sweep bound.
-pub fn optimize_speculative(f: &Function, w: &EdgeWeights) -> Result<Optimized, PipelineError> {
-    optimize_speculative_with(f, w, SolveStrategy::default(), &mut SolverScratch::new())
-}
-
-/// [`optimize_speculative`] with an explicit [`SolveStrategy`] and a
-/// caller-owned [`SolverScratch`] — the batch driver's per-worker path.
-///
-/// # Errors
-///
-/// Returns [`PipelineError::Solver`] if any analysis exceeds its derived
-/// sweep bound.
-pub fn optimize_speculative_with(
-    f: &Function,
-    w: &EdgeWeights,
-    strategy: SolveStrategy,
-    scratch: &mut SolverScratch,
-) -> Result<Optimized, PipelineError> {
-    let uni = ExprUniverse::of(f);
-    let local = LocalPredicates::compute(f, &uni);
-    let view = lcm_dataflow::CfgView::new(f);
-    let ga = GlobalAnalyses::compute_with(f, &uni, &local, &view, strategy, scratch)?;
-    let lazy = lazy_edge_plan_with(f, &uni, &local, &ga, &view, strategy, scratch)?;
-    let pipeline_stats = Some(PipelineStats {
-        avail: ga.avail.stats,
-        antic: ga.antic.stats,
-        later: lazy.stats,
-    });
-    let spec = speculative_plan(f, &uni, &local, &ga, &lazy, w);
-    let transform = apply_plan(f, &uni, &local, &spec.plan);
+    };
+    let transform = apply_plan(f, &uni, &local, &plan);
     Ok(Optimized {
         function: transform.function.clone(),
         transform,
-        plan: spec.plan,
+        plan,
         input: f.clone(),
-        algorithm: PreAlgorithm::Speculative,
-        pipeline_stats,
-        spec: Some(spec.stats),
-    })
-}
-
-/// [`optimize_speculative`] followed by
-/// [`validate::validate_optimized`] at `level` — the checked pass
-/// boundary for the speculative placement. The validator applies its
-/// speculation-aware admissibility rule (unsafe points must carry
-/// side-effect-free expressions) and skips the per-input eval-count
-/// non-regression, which speculation legitimately trades away on cold
-/// paths.
-///
-/// # Errors
-///
-/// [`PipelineError::Solver`] if an analysis diverges,
-/// [`PipelineError::Validation`] if the result violates an invariant.
-pub fn optimize_speculative_checked(
-    f: &Function,
-    w: &EdgeWeights,
-    level: ValidationLevel,
-    seed: u64,
-) -> Result<(Optimized, ValidationReport), PipelineError> {
-    optimize_speculative_checked_with(
-        f,
-        w,
-        level,
-        seed,
-        SolveStrategy::default(),
-        &mut SolverScratch::new(),
-    )
-}
-
-/// [`optimize_speculative_checked`] with an explicit [`SolveStrategy`] and
-/// caller-owned [`SolverScratch`].
-///
-/// # Errors
-///
-/// [`PipelineError::Solver`] if an analysis diverges,
-/// [`PipelineError::Validation`] if the result violates an invariant.
-pub fn optimize_speculative_checked_with(
-    f: &Function,
-    w: &EdgeWeights,
-    level: ValidationLevel,
-    seed: u64,
-    strategy: SolveStrategy,
-    scratch: &mut SolverScratch,
-) -> Result<(Optimized, ValidationReport), PipelineError> {
-    let opt = optimize_speculative_with(f, w, strategy, scratch)?;
-    let report = validate::validate_optimized(f, &opt, level, seed)?;
-    Ok((opt, report))
-}
-
-/// [`optimize`] followed by [`validate::validate_optimized`] at `level`:
-/// the checked pass boundary. The returned report carries the validator's
-/// timings for `--emit stats`-style reporting.
-///
-/// # Errors
-///
-/// [`PipelineError::Solver`] if an analysis diverges,
-/// [`PipelineError::Validation`] if the result violates a paper invariant.
-pub fn optimize_checked(
-    f: &Function,
-    algorithm: PreAlgorithm,
-    level: ValidationLevel,
-    seed: u64,
-) -> Result<(Optimized, ValidationReport), PipelineError> {
-    optimize_checked_with(
-        f,
         algorithm,
-        level,
-        seed,
-        SolveStrategy::default(),
-        &mut SolverScratch::new(),
-    )
-}
-
-/// [`optimize_checked`] with an explicit [`SolveStrategy`] and caller-owned
-/// [`SolverScratch`] — the batch driver's per-worker path.
-///
-/// # Errors
-///
-/// [`PipelineError::Solver`] if an analysis diverges,
-/// [`PipelineError::Validation`] if the result violates a paper invariant.
-pub fn optimize_checked_with(
-    f: &Function,
-    algorithm: PreAlgorithm,
-    level: ValidationLevel,
-    seed: u64,
-    strategy: SolveStrategy,
-    scratch: &mut SolverScratch,
-) -> Result<(Optimized, ValidationReport), PipelineError> {
-    let opt = optimize_with(f, algorithm, strategy, scratch)?;
-    let report = validate::validate_optimized(f, &opt, level, seed)?;
-    Ok((opt, report))
-}
-
-/// [`optimize_checked_with`] under an [`OptimizeBudget`]: the deadline and
-/// cancel flag are checked before solving, after solving, and after
-/// validation; the fuel ceiling is checked against the fused pipeline's
-/// actual node-visit count the moment the solves finish. Fuel is only
-/// observable for the algorithms that run the fused pipeline
-/// ([`PreAlgorithm::LazyEdge`] and [`PreAlgorithm::Speculative`]); the
-/// standalone-solve algorithms report no [`PipelineStats`] and are governed
-/// by the deadline alone.
-///
-/// # Errors
-///
-/// [`PipelineError::Cancelled`] when the budget is exceeded, plus
-/// everything [`optimize_checked_with`] can return.
-pub fn optimize_checked_budgeted(
-    f: &Function,
-    algorithm: PreAlgorithm,
-    level: ValidationLevel,
-    seed: u64,
-    strategy: SolveStrategy,
-    scratch: &mut SolverScratch,
-    budget: &OptimizeBudget,
-) -> Result<(Optimized, ValidationReport), PipelineError> {
-    budget.check("solve")?;
-    let opt = optimize_with(f, algorithm, strategy, scratch)?;
-    let visits = opt
-        .pipeline_stats
-        .as_ref()
-        .map_or(0, |s| s.total().node_visits as u64);
-    budget.check_fuel("validate", visits)?;
-    let report = validate::validate_optimized(f, &opt, level, seed)?;
-    budget.check("finish")?;
-    Ok((opt, report))
-}
-
-/// [`optimize_speculative_checked_with`] under an [`OptimizeBudget`] —
-/// same stage boundaries as [`optimize_checked_budgeted`].
-///
-/// # Errors
-///
-/// [`PipelineError::Cancelled`] when the budget is exceeded, plus
-/// everything [`optimize_speculative_checked_with`] can return.
-pub fn optimize_speculative_checked_budgeted(
-    f: &Function,
-    w: &EdgeWeights,
-    level: ValidationLevel,
-    seed: u64,
-    strategy: SolveStrategy,
-    scratch: &mut SolverScratch,
-    budget: &OptimizeBudget,
-) -> Result<(Optimized, ValidationReport), PipelineError> {
-    budget.check("solve")?;
-    let opt = optimize_speculative_with(f, w, strategy, scratch)?;
-    let visits = opt
-        .pipeline_stats
-        .as_ref()
-        .map_or(0, |s| s.total().node_visits as u64);
-    budget.check_fuel("validate", visits)?;
-    let report = validate::validate_optimized(f, &opt, level, seed)?;
-    budget.check("finish")?;
-    Ok((opt, report))
+        pipeline_stats,
+        spec,
+    })
 }
 
 /// The full pipeline a compiler would run: LCSE, the chosen PRE algorithm,

@@ -1,5 +1,5 @@
 //! The fused LCM pipeline: one CFG view, shared local predicates, and the
-//! change-driven worklist solver for all analyses.
+//! SCC-condensed priority solver for all three analyses.
 //!
 //! The paper's complexity claim is that lazy code motion costs no more than
 //! a constant number of *unidirectional bit-vector* analyses. Running each
@@ -10,7 +10,8 @@
 //! the pipeline instead:
 //!
 //! 1. a [`CfgView`] (reverse postorder, postorder, predecessors,
-//!    successors) is computed **once** and shared by every solve;
+//!    successors, SCC condensation) is computed **once** and shared by
+//!    every solve;
 //! 2. the local predicates (`TRANSP`, `COMP`, `ANTLOC`) are computed for
 //!    the whole expression universe in a single packed-word sweep per block
 //!    and reused by every analysis;
@@ -18,8 +19,8 @@
 //!    ([`Problem::solve_with`](lcm_dataflow::Problem::solve_with)), which
 //!    drains each strongly connected component to fixpoint before advancing
 //!    and only re-enqueues the neighbors of blocks whose output actually
-//!    changed (word-granular dirty detection), against one reused
-//!    [`SolverScratch`](lcm_dataflow::SolverScratch) arena;
+//!    changed (word-granular dirty detection), against one caller-owned
+//!    [`SolverScratch`] arena;
 //! 4. the per-analysis [`SolveStats`] are collected into a
 //!    [`PipelineStats`] so the cost is observable from the CLI
 //!    (`lcmopt --emit stats`) and the experiment harness.
@@ -27,7 +28,8 @@
 //! The fixpoints — and therefore the insert/delete sets — are identical to
 //! the per-analysis round-robin path ([`GlobalAnalyses::compute`] +
 //! [`lazy_edge_plan`](crate::lazy_edge_plan)); the equivalence is asserted
-//! over the whole generator corpus in `tests/solver_equivalence.rs`.
+//! over the whole generator corpus in `tests/solver_equivalence.rs` and
+//! `tests/strategy_corpus.rs`.
 
 use std::fmt;
 
@@ -95,44 +97,22 @@ pub struct LcmPipeline {
 }
 
 /// Runs the full fused LCM analysis pipeline over `f` (see the module
-/// documentation). This is the default path [`optimize`](crate::optimize)
-/// takes for [`PreAlgorithm::LazyEdge`](crate::PreAlgorithm::LazyEdge).
+/// documentation). This is the path [`optimize`](crate::optimize) takes for
+/// [`PreAlgorithm::LazyEdge`](crate::PreAlgorithm::LazyEdge) and
+/// [`PreAlgorithm::Speculative`](crate::PreAlgorithm::Speculative).
+///
+/// All three solves (availability, anticipability, LATER) share `scratch`
+/// and one [`CfgView`]. Held across functions — the batch driver keeps one
+/// per worker — the scratch amortizes all per-solve state to O(1) heap
+/// allocations per function (two `Solution` export clones per solve).
 ///
 /// # Errors
 ///
 /// Returns [`SolverDiverged`] if any of the three analyses exceeds its
-/// derived sweep bound — impossible for well-formed transfer functions,
-/// and exactly the symptom of corrupted ones.
-pub fn lcm(f: &Function) -> Result<LcmPipeline, SolverDiverged> {
-    lcm_in(f, &mut SolverScratch::new())
-}
-
-/// [`lcm`] with a caller-owned [`SolverScratch`], the batch driver's path:
-/// held across functions, the scratch amortizes all per-solve state to O(1)
-/// heap allocations per function (two `Solution` export clones per solve).
-/// Uses the default [`SolveStrategy::SccPriority`] solver.
-///
-/// # Errors
-///
-/// Returns [`SolverDiverged`] if any of the three analyses exceeds its
-/// budget.
-pub fn lcm_in(f: &Function, scratch: &mut SolverScratch) -> Result<LcmPipeline, SolverDiverged> {
-    lcm_with(f, SolveStrategy::default(), scratch)
-}
-
-/// [`lcm_in`] with an explicit [`SolveStrategy`]. All three solves
-/// (availability, anticipability, LATER) share `scratch` and one
-/// [`CfgView`]; every strategy reaches the same fixpoints.
-///
-/// # Errors
-///
-/// Returns [`SolverDiverged`] if any of the three analyses exceeds its
-/// budget.
-pub fn lcm_with(
-    f: &Function,
-    strategy: SolveStrategy,
-    scratch: &mut SolverScratch,
-) -> Result<LcmPipeline, SolverDiverged> {
+/// derived budget — impossible for well-formed transfer functions, and
+/// exactly the symptom of corrupted ones.
+pub fn lcm(f: &Function, scratch: &mut SolverScratch) -> Result<LcmPipeline, SolverDiverged> {
+    let strategy = SolveStrategy::SccPriority;
     let view = CfgView::new(f);
     let universe = ExprUniverse::of(f);
     let local = LocalPredicates::compute(f, &universe);
@@ -175,7 +155,7 @@ mod tests {
     #[test]
     fn fused_matches_seed_path() {
         let f = parse_function(DIAMOND).unwrap();
-        let p = lcm(&f).unwrap();
+        let p = lcm(&f, &mut SolverScratch::new()).unwrap();
         let ga = GlobalAnalyses::compute(&f, &p.universe, &p.local).unwrap();
         let lazy = lazy_edge_plan(&f, &p.universe, &p.local, &ga).unwrap();
         assert_eq!(p.analyses.avail.ins, ga.avail.ins);
@@ -189,8 +169,8 @@ mod tests {
     #[test]
     fn stats_cover_all_three_analyses() {
         let f = parse_function(DIAMOND).unwrap();
-        let p = lcm(&f).unwrap();
-        // Worklist solves leave `iterations` at zero but always visit nodes.
+        let p = lcm(&f, &mut SolverScratch::new()).unwrap();
+        // SCC solves leave `iterations` at zero but always visit nodes.
         for s in [p.stats.avail, p.stats.antic, p.stats.later] {
             assert_eq!(s.iterations, 0);
             assert!(s.node_visits > 0);

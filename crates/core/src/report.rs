@@ -181,7 +181,7 @@ pub fn plan_report(f: &Function, uni: &ExprUniverse, plan: &PlacementPlan) -> St
 }
 
 /// Renders the per-analysis solver cost of a fused [`lcm`](crate::lcm)
-/// run, one row per analysis plus their total. Worklist solves report `0`
+/// run, one row per analysis plus their total. SCC solves report `0`
 /// iterations (the column is only meaningful for round-robin sweeps).
 pub fn stats_table(stats: &PipelineStats) -> String {
     let mut out = String::new();
@@ -302,7 +302,7 @@ mod tests {
     #[test]
     fn stats_table_totals_sum_the_analyses() {
         let f = parse_function(DIAMOND).unwrap();
-        let p = crate::lcm(&f).unwrap();
+        let p = crate::lcm(&f, &mut lcm_dataflow::SolverScratch::new()).unwrap();
         let table = stats_table(&p.stats);
         assert!(table.contains("avail"), "{table}");
         assert!(table.contains("total"), "{table}");

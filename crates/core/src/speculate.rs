@@ -326,7 +326,7 @@ mod tests {
     const GUARDED_WEIGHTS: [u64; 8] = [1, 9, 1, 6, 3, 6, 3, 9];
 
     fn pipeline(f: &lcm_ir::Function) -> crate::LcmPipeline {
-        lcm(f).unwrap()
+        lcm(f, &mut lcm_dataflow::SolverScratch::new()).unwrap()
     }
 
     #[test]

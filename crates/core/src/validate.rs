@@ -580,7 +580,7 @@ mod tests {
 
     #[test]
     fn speculative_plans_validate_under_the_relaxed_rule() {
-        use crate::{optimize_speculative, EdgeWeights};
+        use crate::{EdgeWeights, OptimizeBudget, Pipeline};
         // A guarded use inside a hot loop: speculation hoists `a + b` to
         // the entry, a classically unsafe point.
         let f = parse_function(
@@ -606,7 +606,15 @@ mod tests {
         .unwrap();
         let profile = lcm_ir::Profile::from_weights(&f, &[1, 9, 1, 6, 3, 6, 3, 9]);
         let w = EdgeWeights::from_profile(&f, &profile).unwrap();
-        let opt = optimize_speculative(&f, &w).unwrap();
+        let (opt, _) = Pipeline {
+            placement: PreAlgorithm::Speculative,
+            weights: Some(&w),
+            validation: ValidationLevel::Off,
+            seed: 0,
+            budget: &OptimizeBudget::unlimited(),
+        }
+        .run(&f, &mut lcm_dataflow::SolverScratch::new())
+        .unwrap();
         assert_eq!(opt.spec.unwrap().speculated, 1);
         assert!(!opt.plan.entry_insert.is_empty());
         // The classical rule rejects this plan; the speculative tier

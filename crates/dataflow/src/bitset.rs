@@ -842,13 +842,15 @@ mod tests {
             }
             changed
         }
-        let ops: [(&str, fn(u64, u64) -> u64); 4] = [
+        type WordOp = fn(u64, u64) -> u64;
+        type RowKernel = fn(&mut [u64], &[u64]) -> bool;
+        let ops: [(&str, WordOp); 4] = [
             ("union", |a, b| a | b),
             ("intersect", |a, b| a & b),
             ("difference", |a, b| a & !b),
             ("copy", |_, b| b),
         ];
-        let kernels: [fn(&mut [u64], &[u64]) -> bool; 4] = [
+        let kernels: [RowKernel; 4] = [
             union_rows,
             intersect_rows,
             difference_rows,

@@ -15,9 +15,9 @@
 //!   intersection ([`Confluence::Must`]) or union ([`Confluence::May`])
 //!   confluence, plus optional per-edge gen sets (needed by the LATER
 //!   analysis of lazy code motion);
-//! * three solver strategies ([`SolveStrategy`]) — round-robin sweeps, a
-//!   change-driven FIFO worklist, and an SCC-condensed priority worklist
-//!   that drains each strongly connected component to fixpoint before
+//! * two solver strategies ([`SolveStrategy`]) — round-robin sweeps (the
+//!   reference) and an SCC-condensed priority worklist (the default) that
+//!   drains each strongly connected component to fixpoint before
 //!   advancing — which produce identical fixpoints;
 //! * [`SolverScratch`] — a reusable solver arena (state matrices, worklist
 //!   deque, in-queue bitmap, change flags) passed to

@@ -63,10 +63,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use lcm_core::transform::TransformStats;
 use lcm_core::validate::{sample_inputs, validate_optimized, ValidationLevel};
 use lcm_core::{
-    optimize_checked_budgeted, optimize_speculative_checked_budgeted, passes, EdgeWeights,
-    OptimizeBudget, PipelineError, PipelineStats, PreAlgorithm, SpecStats,
+    passes, EdgeWeights, OptimizeBudget, Pipeline, PipelineError, PipelineStats, PreAlgorithm,
+    SpecStats,
 };
-use lcm_dataflow::{SolveStrategy, SolverScratch};
+use lcm_dataflow::SolverScratch;
 use lcm_ir::{parse_function, simplify_cfg, verify, Function, Module, Profile};
 
 /// How a batch run is configured.
@@ -89,10 +89,6 @@ pub struct BatchOptions {
     pub use_cache: bool,
     /// Plan-cache capacity in entries; `0` means unbounded.
     pub cache_capacity: usize,
-    /// Which fixpoint solver the fused pipeline runs. Every strategy
-    /// reaches the same fixpoints, so this never changes any output — only
-    /// the solver cost counters.
-    pub strategy: SolveStrategy,
 }
 
 impl Default for BatchOptions {
@@ -104,7 +100,6 @@ impl Default for BatchOptions {
             seed: 0x1c3a_57ed,
             use_cache: true,
             cache_capacity: 4096,
-            strategy: SolveStrategy::default(),
         }
     }
 }
@@ -326,8 +321,8 @@ pub struct OutputMemo {
     pub output_text: String,
     /// Fingerprint of every output-affecting engine option
     /// ([`options_tag`]) at the time the memo was recorded. Any placement,
-    /// validation, seed, or solver change invalidates the memo — the next
-    /// revision recomputes even on identical input.
+    /// validation or seed change invalidates the memo — the next revision
+    /// recomputes even on identical input.
     pub opts_tag: String,
 }
 
@@ -337,11 +332,10 @@ pub struct OutputMemo {
 /// run, never a memo replay recorded under different settings.
 pub fn options_tag(opts: &BatchOptions) -> String {
     format!(
-        "{}|{:?}|{:#x}|{:?}",
+        "{}|{:?}|{:#x}",
         opts.placement.name(),
         opts.validate,
-        opts.seed,
-        opts.strategy
+        opts.seed
     )
 }
 
@@ -940,26 +934,24 @@ fn optimize_unit(
     scratch: &mut SolverScratch,
     budget: &OptimizeBudget,
 ) -> Result<CacheEntry, UnitError> {
-    let (level, seed, strategy) = (opts.validate, opts.seed, opts.strategy);
     let mut g = f.clone();
     g.name = CANONICAL_NAME.to_string();
     let canonical_input = cache::contextual_text(&g.to_string(), context);
     passes::lcse(&mut g);
-    let (opt, report) = match (opts.placement, weights) {
-        (PreAlgorithm::Speculative, Some(w)) => {
-            optimize_speculative_checked_budgeted(&g, w, level, seed, strategy, scratch, budget)
-        }
-        (PreAlgorithm::Speculative, None) => optimize_checked_budgeted(
-            &g,
-            PreAlgorithm::LazyEdge,
-            level,
-            seed,
-            strategy,
-            scratch,
-            budget,
-        ),
-        (alg, _) => optimize_checked_budgeted(&g, alg, level, seed, strategy, scratch, budget),
+    // A speculative unit without resolved weights has no frequency
+    // information to speculate on: it runs plain LCM.
+    let placement = match (opts.placement, weights) {
+        (PreAlgorithm::Speculative, None) => PreAlgorithm::LazyEdge,
+        (alg, _) => alg,
+    };
+    let (opt, report) = Pipeline {
+        placement,
+        weights,
+        validation: opts.validate,
+        seed: opts.seed,
+        budget,
     }
+    .run(&g, scratch)
     .map_err(|e| UnitError {
         kind: match e {
             PipelineError::Cancelled(_) => FailureKind::Cancelled,

@@ -760,7 +760,7 @@ mod tests {
     #[test]
     fn corrupted_profiles_never_produce_unsafe_placements() {
         use lcm_cfggen::{corpus, synthetic_profile, GenOptions};
-        use lcm_core::{optimize_speculative, weights_or_unit, EdgeWeights};
+        use lcm_core::{weights_or_unit, EdgeWeights, OptimizeBudget, Pipeline};
         let mut refused = 0usize;
         let mut resolved = 0usize;
         for (i, f) in corpus(0xC0FF, 24, &GenOptions::default())
@@ -783,9 +783,15 @@ mod tests {
             // valid, observationally equivalent result: weights steer only
             // the cost model, never the safety argument.
             let w = weights_or_unit(f, Some(&p));
-            let opt = optimize_speculative(f, &w).unwrap();
-            validate_optimized(&f.clone(), &opt, ValidationLevel::Full, i as u64)
-                .unwrap_or_else(|e| panic!("corrupted profile broke function {i}: {e}"));
+            Pipeline {
+                placement: PreAlgorithm::Speculative,
+                weights: Some(&w),
+                validation: ValidationLevel::Full,
+                seed: i as u64,
+                budget: &OptimizeBudget::unlimited(),
+            }
+            .run(f, &mut SolverScratch::new())
+            .unwrap_or_else(|e| panic!("corrupted profile broke function {i}: {e}"));
         }
         // The corpus is large enough to exercise both outcomes.
         assert!(refused > 0, "no corruption was refused by resolution");

@@ -13,10 +13,23 @@
 
 use lcm_cfggen::{corpus, GenOptions};
 use lcm_core::validate::{validate_optimized, ValidationError, ValidationLevel};
-use lcm_core::{optimize, optimize_with, PreAlgorithm};
-use lcm_dataflow::{SolveStrategy, SolverScratch};
+use lcm_core::{optimize, OptimizeBudget, Optimized, Pipeline, PipelineError, PreAlgorithm};
+use lcm_dataflow::SolverScratch;
 use lcm_faults::optimize_with_poisoned_scratch;
-use lcm_ir::parse_function;
+use lcm_ir::{parse_function, Function};
+
+/// Unvalidated LCM through the production entry point on a caller-owned
+/// scratch — the batch worker's path minus its validation.
+fn lcm_on(f: &Function, scratch: &mut SolverScratch) -> Result<Optimized, PipelineError> {
+    let pipeline = Pipeline {
+        placement: PreAlgorithm::LazyEdge,
+        weights: None,
+        validation: ValidationLevel::Off,
+        seed: 0,
+        budget: &OptimizeBudget::unlimited(),
+    };
+    pipeline.run(f, scratch).map(|(opt, _)| opt)
+}
 
 /// `a + b` is only computed on the loop path, `a * b` only on the exit
 /// path, so neither is anticipable at the loop header: any insertion
@@ -55,13 +68,7 @@ fn poisoned_scratch_placement_is_caught_by_fast_validation() {
     // The poison was a one-shot skip flag: the very next solve on the same
     // scratch reinitialises and produces the clean result again.
     let clean = optimize(&f, PreAlgorithm::LazyEdge).unwrap();
-    let recovered = optimize_with(
-        &f,
-        PreAlgorithm::LazyEdge,
-        SolveStrategy::default(),
-        &mut scratch,
-    )
-    .unwrap();
+    let recovered = lcm_on(&f, &mut scratch).unwrap();
     assert_eq!(recovered.plan.edge_inserts, clean.plan.edge_inserts);
     assert_eq!(recovered.plan.entry_insert, clean.plan.entry_insert);
     validate_optimized(&f, &recovered, ValidationLevel::Fast, 0).unwrap();
@@ -75,7 +82,6 @@ fn function_boundary_poison_is_conservative_or_caught_and_recovers() {
     // more conservative — so the output is either still a valid program
     // (which fast validation accepts) or the solve diverges loudly. What
     // can never happen is a silently wrong program.
-    let strategy = SolveStrategy::default();
     for (i, f) in corpus(0xB1EED, 24, &GenOptions::default())
         .iter()
         .enumerate()
@@ -83,19 +89,17 @@ fn function_boundary_poison_is_conservative_or_caught_and_recovers() {
         let clean = optimize(f, PreAlgorithm::LazyEdge).unwrap();
         for seed in 0..3u64 {
             let mut scratch = SolverScratch::new();
-            optimize_with(f, PreAlgorithm::LazyEdge, strategy, &mut scratch).unwrap();
+            lcm_on(f, &mut scratch).unwrap();
             scratch.poison_for_fault_injection(seed);
-            match optimize_with(f, PreAlgorithm::LazyEdge, strategy, &mut scratch) {
-                Ok(opt) => {
-                    validate_optimized(f, &opt, ValidationLevel::Fast, 0).unwrap_or_else(|e| {
-                        panic!("fn {i} seed {seed}: invalid program slipped through: {e}")
-                    });
-                }
-                Err(_) => {} // divergence is the loud failure mode
+            // Divergence (an `Err`) is the loud failure mode; a result must
+            // pass fast validation.
+            if let Ok(opt) = lcm_on(f, &mut scratch) {
+                validate_optimized(f, &opt, ValidationLevel::Fast, 0).unwrap_or_else(|e| {
+                    panic!("fn {i} seed {seed}: invalid program slipped through: {e}")
+                });
             }
             // Either way the arena is clean again afterwards.
-            let recovered =
-                optimize_with(f, PreAlgorithm::LazyEdge, strategy, &mut scratch).unwrap();
+            let recovered = lcm_on(f, &mut scratch).unwrap();
             assert_eq!(recovered.plan.edge_inserts, clean.plan.edge_inserts);
             assert_eq!(recovered.plan.entry_insert, clean.plan.entry_insert);
         }
@@ -107,17 +111,11 @@ fn unpoisoned_scratch_reuse_never_bleeds_across_functions() {
     // The actual batch-mode path: one scratch across many differently
     // shaped functions must reproduce fresh-scratch results bit for bit.
     let mut scratch = SolverScratch::new();
-    let mut fns = corpus(0xC1EA_4, 30, &GenOptions::default());
-    fns.extend(corpus(0xC1EA_5, 6, &GenOptions::sized(90)));
+    let mut fns = corpus(0x000C_1EA4, 30, &GenOptions::default());
+    fns.extend(corpus(0x000C_1EA5, 6, &GenOptions::sized(90)));
     for f in &fns {
         let fresh = optimize(f, PreAlgorithm::LazyEdge).unwrap();
-        let reused = optimize_with(
-            f,
-            PreAlgorithm::LazyEdge,
-            SolveStrategy::default(),
-            &mut scratch,
-        )
-        .unwrap();
+        let reused = lcm_on(f, &mut scratch).unwrap();
         assert_eq!(reused.plan.edge_inserts, fresh.plan.edge_inserts);
         assert_eq!(reused.plan.entry_insert, fresh.plan.entry_insert);
         for b in fresh.function.block_ids() {

@@ -30,10 +30,6 @@
 //!                        PRE algorithms bcm, lcm-edge, lcm-node,
 //!                        alcm-node, morel-renvoise, gcse.
 //!   -e, --emit KIND      output: text (default), dot, stats, none
-//!       --solver S       fixpoint solver for the fused LCM pipeline:
-//!                        rr (round-robin), wl (worklist), scc
-//!                        (SCC-priority, default). Same fixpoints either
-//!                        way; only the cost counters differ.
 //!       --validate[=L]   validation tier for PRE passes: off, fast
 //!                        (default; static invariant checks) or full
 //!                        (adds seeded differential execution)
@@ -61,10 +57,10 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use lcm::core::{
-    metrics, optimize, optimize_checked, optimize_speculative_checked, passes, report, EdgeWeights,
-    PreAlgorithm, SpecStats, ValidationLevel, ValidationReport,
+    metrics, optimize, passes, report, EdgeWeights, OptimizeBudget, Optimized, Pipeline,
+    PipelineError, PreAlgorithm, SpecStats, ValidationLevel, ValidationReport,
 };
-use lcm::dataflow::{SolveStrategy, SolverScratch};
+use lcm::dataflow::SolverScratch;
 use lcm::driver::protocol::{
     failure_code_name, read_response, write_request, Request, Response, ERR_PARSE,
 };
@@ -99,7 +95,6 @@ struct Options {
     passes_set: bool,
     placement: Option<PreAlgorithm>,
     emit: String,
-    solver: SolveStrategy,
     validate: ValidationLevel,
     inputs: Vec<(String, i64)>,
     run: bool,
@@ -125,7 +120,7 @@ impl Failure {
 fn usage() -> &'static str {
     "usage: lcmopt [-p|--passes LIST] [--placement lcm|bcm|spec] \
      [-e|--emit text|dot|stats|none] \
-     [--solver rr|wl|scc] [--validate[=off|fast|full]] [--run KEY=VAL]... \
+     [--validate[=off|fast|full]] [--run KEY=VAL]... \
      [--fuel N] [--compare] [FILE|-]\n\
      \x20      lcmopt batch [OPTIONS] <PATH|->   (see `lcmopt batch --help`)\n\
      \x20      lcmopt lift [OPTIONS] <FILE|->    (see `lcmopt lift --help`)\n\
@@ -154,7 +149,6 @@ fn parse_args() -> Result<Option<Options>, Failure> {
         passes_set: false,
         placement: None,
         emit: "text".into(),
-        solver: SolveStrategy::default(),
         validate: ValidationLevel::Fast,
         inputs: Vec::new(),
         run: false,
@@ -186,12 +180,6 @@ fn parse_args() -> Result<Option<Options>, Failure> {
                 if !["text", "dot", "stats", "none"].contains(&opts.emit.as_str()) {
                     return Err(usage_err(format!("unknown emit kind `{}`", opts.emit)));
                 }
-            }
-            "--solver" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| usage_err("--solver needs rr|wl|scc".into()))?;
-                opts.solver = v.parse().map_err(|e: String| usage_err(e))?;
             }
             "--validate" => opts.validate = ValidationLevel::Fast,
             "--run" => {
@@ -246,23 +234,88 @@ fn parse_placement(v: &str) -> Result<PreAlgorithm, String> {
     }
 }
 
+/// The engine flags `batch`, `serve` and `watch` share: `--placement`,
+/// `--validate[=L]` and, where the subcommand keeps a plan cache,
+/// `--cache` and `--cache-cap`.
+struct EngineFlags {
+    placement: PreAlgorithm,
+    validate: ValidationLevel,
+    /// Whether the subcommand keeps a plan cache at all (and so takes the
+    /// cache flags).
+    keeps_cache: bool,
+    cache: bool,
+    cache_capacity: usize,
+}
+
+impl EngineFlags {
+    fn new(keeps_cache: bool) -> Self {
+        EngineFlags {
+            placement: PreAlgorithm::LazyEdge,
+            validate: ValidationLevel::Fast,
+            keeps_cache,
+            cache: keeps_cache,
+            cache_capacity: 4096,
+        }
+    }
+
+    /// Consumes `arg` (and its value from `args`) when it is a shared
+    /// engine flag; `Ok(false)` leaves it to the subcommand. An `Err` is
+    /// the usage message, for the caller to pair with its own usage text.
+    fn parse(
+        &mut self,
+        arg: &str,
+        args: &mut impl Iterator<Item = String>,
+    ) -> Result<bool, String> {
+        let mut value = |msg: &str| args.next().ok_or_else(|| msg.to_string());
+        match arg {
+            "--placement" => {
+                self.placement = parse_placement(&value("--placement needs lcm|bcm|spec")?)?;
+            }
+            "--validate" => self.validate = ValidationLevel::Fast,
+            "--cache" if self.keeps_cache => {
+                self.cache = match value("--cache needs on|off")?.as_str() {
+                    "on" => true,
+                    "off" => false,
+                    other => return Err(format!("bad cache mode `{other}`")),
+                };
+            }
+            "--cache-cap" if self.keeps_cache => {
+                let n = value("--cache-cap needs an argument")?;
+                self.cache_capacity = n.parse().map_err(|_| format!("bad cache capacity `{n}`"))?;
+            }
+            other => match other.strip_prefix("--validate=") {
+                Some(level) => self.validate = level.parse()?,
+                None => return Ok(false),
+            },
+        }
+        Ok(true)
+    }
+
+    /// The driver configuration these flags select.
+    fn batch_options(&self, jobs: usize) -> BatchOptions {
+        BatchOptions {
+            jobs,
+            placement: self.placement,
+            validate: self.validate,
+            seed: VALIDATION_SEED,
+            use_cache: self.cache,
+            cache_capacity: self.cache_capacity,
+        }
+    }
+}
+
 /// Options for `lcmopt batch`.
 struct BatchCli {
     path: String,
     jobs: usize,
-    placement: PreAlgorithm,
-    solver: SolveStrategy,
-    cache: bool,
-    cache_capacity: usize,
+    engine: EngineFlags,
     cache_file: Option<String>,
     emit: String,
-    validate: ValidationLevel,
 }
 
 fn batch_usage() -> &'static str {
     "usage: lcmopt batch [-j|--jobs N] [--placement lcm|bcm|spec] \
-     [--solver rr|wl|scc] [--cache on|off] \
-     [--cache-cap N] [--cache-file PATH] \
+     [--cache on|off] [--cache-cap N] [--cache-file PATH] \
      [-e|--emit text|dot|stats|json|none] \
      [--validate[=off|fast|full]] <PATH|->\n\
      PATH is a module file (many `fn`s), a directory of .lcm files, or `-` \
@@ -284,16 +337,15 @@ fn parse_batch_args(mut args: impl Iterator<Item = String>) -> Result<Option<Bat
     let mut opts = BatchCli {
         path: String::new(),
         jobs: 0,
-        placement: PreAlgorithm::LazyEdge,
-        solver: SolveStrategy::default(),
-        cache: true,
-        cache_capacity: 4096,
+        engine: EngineFlags::new(true),
         cache_file: None,
         emit: "text".into(),
-        validate: ValidationLevel::Fast,
     };
     let usage_err = |msg: String| Failure::new(EXIT_USAGE, format!("{msg}\n{}", batch_usage()));
     while let Some(arg) = args.next() {
+        if opts.engine.parse(&arg, &mut args).map_err(usage_err)? {
+            continue;
+        }
         match arg.as_str() {
             "-h" | "--help" => return Ok(None),
             "-j" | "--jobs" => {
@@ -303,36 +355,6 @@ fn parse_batch_args(mut args: impl Iterator<Item = String>) -> Result<Option<Bat
                 opts.jobs = n
                     .parse()
                     .map_err(|_| usage_err(format!("bad job count `{n}`")))?;
-            }
-            "--placement" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| usage_err("--placement needs lcm|bcm|spec".into()))?;
-                opts.placement = parse_placement(&v).map_err(usage_err)?;
-            }
-            "--solver" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| usage_err("--solver needs rr|wl|scc".into()))?;
-                opts.solver = v.parse().map_err(|e: String| usage_err(e))?;
-            }
-            "--cache" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| usage_err("--cache needs on|off".into()))?;
-                opts.cache = match v.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(usage_err(format!("bad cache mode `{other}`"))),
-                };
-            }
-            "--cache-cap" => {
-                let n = args
-                    .next()
-                    .ok_or_else(|| usage_err("--cache-cap needs an argument".into()))?;
-                opts.cache_capacity = n
-                    .parse()
-                    .map_err(|_| usage_err(format!("bad cache capacity `{n}`")))?;
             }
             "--cache-file" => {
                 let p = args
@@ -347,11 +369,6 @@ fn parse_batch_args(mut args: impl Iterator<Item = String>) -> Result<Option<Bat
                 if !["text", "dot", "stats", "json", "none"].contains(&opts.emit.as_str()) {
                     return Err(usage_err(format!("unknown emit kind `{}`", opts.emit)));
                 }
-            }
-            "--validate" => opts.validate = ValidationLevel::Fast,
-            other if other.starts_with("--validate=") => {
-                let level = &other["--validate=".len()..];
-                opts.validate = level.parse().map_err(usage_err)?;
             }
             other if other.starts_with('-') && other != "-" => {
                 return Err(usage_err(format!("unknown option `{other}`")));
@@ -411,15 +428,7 @@ fn run_batch(cli: BatchCli) -> Result<(), Failure> {
     let units = load_batch_units(&cli.path)?;
     let n = units.len();
     let start = std::time::Instant::now();
-    let opts = BatchOptions {
-        jobs: cli.jobs,
-        placement: cli.placement,
-        validate: cli.validate,
-        seed: VALIDATION_SEED,
-        use_cache: cli.cache,
-        cache_capacity: cli.cache_capacity,
-        strategy: cli.solver,
-    };
+    let opts = cli.engine.batch_options(cli.jobs);
     let mut engine = match &cli.cache_file {
         Some(path) => {
             let engine = BatchEngine::with_cache_file(opts, Path::new(path));
@@ -563,18 +572,13 @@ struct ServeCli {
     workers: usize,
     queue_cap: usize,
     retry_after_ms: u32,
-    placement: PreAlgorithm,
-    solver: SolveStrategy,
-    cache: bool,
-    cache_capacity: usize,
-    validate: ValidationLevel,
+    engine: EngineFlags,
 }
 
 fn serve_usage() -> &'static str {
     "usage: lcmopt serve [--socket PATH] [--cache-file PATH] [--workers N] \
      [--queue-cap N] [--retry-after-ms N] [--placement lcm|bcm|spec] \
-     [--solver rr|wl|scc] [--cache on|off] [--cache-cap N] \
-     [--validate[=off|fast|full]]\n\
+     [--cache on|off] [--cache-cap N] [--validate[=off|fast|full]]\n\
      Runs the optimization daemon: worker threads keep warm solver arenas \
      across requests and share one plan cache.\n\
      With --socket the daemon serves the framed protocol on a Unix socket \
@@ -597,14 +601,13 @@ fn parse_serve_args(mut args: impl Iterator<Item = String>) -> Result<Option<Ser
         workers: 0,
         queue_cap: 1024,
         retry_after_ms: 50,
-        placement: PreAlgorithm::LazyEdge,
-        solver: SolveStrategy::default(),
-        cache: true,
-        cache_capacity: 4096,
-        validate: ValidationLevel::Fast,
+        engine: EngineFlags::new(true),
     };
     let usage_err = |msg: String| Failure::new(EXIT_USAGE, format!("{msg}\n{}", serve_usage()));
     while let Some(arg) = args.next() {
+        if opts.engine.parse(&arg, &mut args).map_err(usage_err)? {
+            continue;
+        }
         match arg.as_str() {
             "-h" | "--help" => return Ok(None),
             "--socket" => {
@@ -643,41 +646,6 @@ fn parse_serve_args(mut args: impl Iterator<Item = String>) -> Result<Option<Ser
                     .parse()
                     .map_err(|_| usage_err(format!("bad retry hint `{n}`")))?;
             }
-            "--placement" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| usage_err("--placement needs lcm|bcm|spec".into()))?;
-                opts.placement = parse_placement(&v).map_err(usage_err)?;
-            }
-            "--solver" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| usage_err("--solver needs rr|wl|scc".into()))?;
-                opts.solver = v.parse().map_err(|e: String| usage_err(e))?;
-            }
-            "--cache" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| usage_err("--cache needs on|off".into()))?;
-                opts.cache = match v.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(usage_err(format!("bad cache mode `{other}`"))),
-                };
-            }
-            "--cache-cap" => {
-                let n = args
-                    .next()
-                    .ok_or_else(|| usage_err("--cache-cap needs an argument".into()))?;
-                opts.cache_capacity = n
-                    .parse()
-                    .map_err(|_| usage_err(format!("bad cache capacity `{n}`")))?;
-            }
-            "--validate" => opts.validate = ValidationLevel::Fast,
-            other if other.starts_with("--validate=") => {
-                let level = &other["--validate=".len()..];
-                opts.validate = level.parse().map_err(usage_err)?;
-            }
             other => return Err(usage_err(format!("unknown serve argument `{other}`"))),
         }
     }
@@ -686,15 +654,7 @@ fn parse_serve_args(mut args: impl Iterator<Item = String>) -> Result<Option<Ser
 
 fn run_serve(cli: ServeCli) -> Result<(), Failure> {
     let opts = ServeOptions {
-        batch: BatchOptions {
-            jobs: 0,
-            placement: cli.placement,
-            validate: cli.validate,
-            seed: VALIDATION_SEED,
-            use_cache: cli.cache,
-            cache_capacity: cli.cache_capacity,
-            strategy: cli.solver,
-        },
+        batch: cli.engine.batch_options(0),
         workers: cli.workers,
         queue_capacity: cli.queue_cap,
         retry_after_ms: cli.retry_after_ms,
@@ -953,15 +913,13 @@ struct WatchCli {
     interval_ms: u64,
     iterations: u64,
     output: Option<String>,
-    placement: PreAlgorithm,
-    solver: SolveStrategy,
-    validate: ValidationLevel,
+    engine: EngineFlags,
 }
 
 fn watch_usage() -> &'static str {
     "usage: lcmopt watch [--interval-ms N] [--iterations N] [-o|--output \
-     PATH] [--placement lcm|bcm|spec] [--solver rr|wl|scc] \
-     [--validate[=off|fast|full]] <FILE>\n\
+     PATH] [--placement lcm|bcm|spec] [--validate[=off|fast|full]] \
+     <FILE>\n\
      Optimizes the module in FILE, then polls it and re-optimizes on every \
      change. Each function's optimized output is memoized by content \
      fingerprint, so a function the save left untouched is replayed \
@@ -985,12 +943,14 @@ fn parse_watch_args(mut args: impl Iterator<Item = String>) -> Result<Option<Wat
         interval_ms: 50,
         iterations: 0,
         output: None,
-        placement: PreAlgorithm::LazyEdge,
-        solver: SolveStrategy::default(),
-        validate: ValidationLevel::Fast,
+        // Watch reuses work through the output memo alone.
+        engine: EngineFlags::new(false),
     };
     let usage_err = |msg: String| Failure::new(EXIT_USAGE, format!("{msg}\n{}", watch_usage()));
     while let Some(arg) = args.next() {
+        if opts.engine.parse(&arg, &mut args).map_err(usage_err)? {
+            continue;
+        }
         match arg.as_str() {
             "-h" | "--help" => return Ok(None),
             "--interval-ms" => {
@@ -1014,23 +974,6 @@ fn parse_watch_args(mut args: impl Iterator<Item = String>) -> Result<Option<Wat
                     .next()
                     .ok_or_else(|| usage_err("--output needs a path".into()))?;
                 opts.output = Some(p);
-            }
-            "--placement" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| usage_err("--placement needs lcm|bcm|spec".into()))?;
-                opts.placement = parse_placement(&v).map_err(usage_err)?;
-            }
-            "--solver" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| usage_err("--solver needs rr|wl|scc".into()))?;
-                opts.solver = v.parse().map_err(|e: String| usage_err(e))?;
-            }
-            "--validate" => opts.validate = ValidationLevel::Fast,
-            other if other.starts_with("--validate=") => {
-                let level = &other["--validate=".len()..];
-                opts.validate = level.parse().map_err(usage_err)?;
             }
             other if other.starts_with('-') => {
                 return Err(usage_err(format!("unknown watch argument `{other}`")));
@@ -1094,17 +1037,7 @@ fn watch_once(
 }
 
 fn run_watch(cli: WatchCli) -> Result<(), Failure> {
-    let opts = BatchOptions {
-        jobs: 1,
-        placement: cli.placement,
-        validate: cli.validate,
-        seed: VALIDATION_SEED,
-        // Watch reuses work through the output memo alone.
-        use_cache: false,
-        cache_capacity: 4096,
-        strategy: cli.solver,
-    };
-    let mut engine = BatchEngine::new(opts);
+    let mut engine = BatchEngine::new(cli.engine.batch_options(1));
     // The initial revision must load: a watch on a missing or broken file
     // is a usage/parse error, not an empty vigil.
     let mut last = std::fs::read(&cli.file)
@@ -1244,7 +1177,7 @@ fn run_pipeline(
                 g = lcm::core::strength::strength_reduce(&g).function;
             }
             other => match algorithm_by_name(other) {
-                Some(alg) => match optimize_checked(&g, alg, level, VALIDATION_SEED) {
+                Some(alg) => match checked_pass(&g, alg, None, level) {
                     Ok((opt, rep)) => {
                         reports.push((name.clone(), rep));
                         g = opt.function;
@@ -1271,6 +1204,24 @@ fn run_pipeline(
     Ok((g, reports))
 }
 
+/// One checked PRE pass of the single-function pipeline: unbudgeted, on a
+/// fresh solver scratch.
+fn checked_pass(
+    g: &Function,
+    placement: PreAlgorithm,
+    weights: Option<&EdgeWeights>,
+    validation: ValidationLevel,
+) -> Result<(Optimized, ValidationReport), PipelineError> {
+    let pipeline = Pipeline {
+        placement,
+        weights,
+        validation,
+        seed: VALIDATION_SEED,
+        budget: &OptimizeBudget::unlimited(),
+    };
+    pipeline.run(g, &mut SolverScratch::new())
+}
+
 /// The default pass pipeline with the PRE step swapped for `alg`.
 fn placement_passes(alg: PreAlgorithm) -> Vec<String> {
     vec![
@@ -1291,7 +1242,7 @@ fn run_speculative_pipeline(
 ) -> Result<(Function, ValidationReport, SpecStats), Failure> {
     let mut g = f.clone();
     passes::lcse(&mut g);
-    let (opt, rep) = optimize_speculative_checked(&g, w, level, VALIDATION_SEED)
+    let (opt, rep) = checked_pass(&g, PreAlgorithm::Speculative, Some(w), level)
         .map_err(|e| Failure::new(EXIT_PASS, format!("pass `spec` failed: {e}")))?;
     let stats = opt.spec.unwrap_or_default();
     let mut g = opt.function;
@@ -1473,10 +1424,9 @@ fn real_main() -> Result<(), Failure> {
                 f.expr_occurrences().count(),
                 g.expr_occurrences().count()
             );
-            // Solver cost of the fused LCM pipeline on the original input,
-            // under the requested solver strategy (fresh scratch, so the
-            // numbers are reproducible run to run).
-            let p = lcm::core::lcm_with(&f, opts.solver, &mut SolverScratch::new())
+            // Solver cost of the fused LCM pipeline on the original input
+            // (fresh scratch, so the numbers are reproducible run to run).
+            let p = lcm::core::lcm(&f, &mut SolverScratch::new())
                 .map_err(|e| Failure::new(EXIT_PASS, format!("stats analysis failed: {e}")))?;
             println!();
             print!("{}", report::stats_table(&p.stats));

@@ -95,6 +95,58 @@ fn exit_codes_are_distinct_per_failure_class() {
     // Bad validation level is a usage error.
     let (code, _, stderr) = run_lcmopt(&["--validate=medium"], b"");
     assert_eq!(code, 2, "{stderr}");
+    // There is one solver schedule; the retired `--solver` knob is an
+    // unknown option in every front.
+    let (code, _, stderr) = run_lcmopt(&["--solver", "scc"], ok_program);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("unknown option `--solver`"), "{stderr}");
+    for args in [
+        &["batch", "--solver", "scc", "-"][..],
+        &["serve", "--solver", "scc"],
+        &["watch", "--solver", "scc", "m.lcm"],
+    ] {
+        let (code, _, stderr) = run_lcmopt(args, b"");
+        assert_eq!(code, 2, "{args:?}: {stderr}");
+        assert!(stderr.contains("`--solver`"), "{args:?}: {stderr}");
+    }
+}
+
+/// `batch`, `serve` and `watch` parse the shared engine flags through one
+/// helper: the same bad value is the same usage error (exit 2) in each,
+/// and `watch`, which keeps no plan cache, refuses the cache flags.
+#[test]
+fn engine_flags_fail_alike_in_every_subcommand() {
+    for (sub, tail) in [
+        ("batch", Some("-")),
+        ("serve", None),
+        ("watch", Some("m.lcm")),
+    ] {
+        let mut cases = vec![
+            (vec!["--placement", "nope"], "unknown placement `nope`"),
+            (vec!["--placement"], "--placement needs lcm|bcm|spec"),
+            (vec!["--validate=medium"], "medium"),
+        ];
+        if sub != "watch" {
+            cases.push((vec!["--cache", "maybe"], "bad cache mode `maybe`"));
+            cases.push((vec!["--cache-cap", "x"], "bad cache capacity `x`"));
+        } else {
+            cases.push((vec!["--cache", "on"], "unknown watch argument `--cache`"));
+        }
+        for (flags, expected) in cases {
+            // The input path goes first so a flag missing its value
+            // cannot swallow it.
+            let mut args = vec![sub];
+            args.extend(tail);
+            args.extend(flags);
+            let (code, _, stderr) = run_lcmopt(&args, b"");
+            assert_eq!(code, 2, "{args:?}: {stderr}");
+            assert!(stderr.contains(expected), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains(&format!("lcmopt {sub}")),
+                "{args:?}: {stderr}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -22,7 +22,8 @@ fn ladders_converge_within_bounds_for_every_algorithm() {
             optimize(&f, alg)
                 .unwrap_or_else(|e| panic!("{} diverged on ladder({n}): {e}", alg.name()));
         }
-        lcm(&f).unwrap_or_else(|e| panic!("fused pipeline diverged on ladder({n}): {e}"));
+        lcm(&f, &mut lcm::dataflow::SolverScratch::new())
+            .unwrap_or_else(|e| panic!("fused pipeline diverged on ladder({n}): {e}"));
     }
 }
 

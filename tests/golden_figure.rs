@@ -10,7 +10,7 @@ use lcm::core::figures::running_example;
 use lcm::core::{
     lazy_edge_plan, lazy_node_plan, lcm, ExprUniverse, GlobalAnalyses, LocalPredicates,
 };
-use lcm::dataflow::BitSet;
+use lcm::dataflow::{BitSet, SolverScratch};
 use lcm::ir::Function;
 
 // Universe positions, in first-occurrence order.
@@ -47,8 +47,10 @@ fn safety_analyses_match_the_figure() {
     let ga = GlobalAnalyses::compute(&f, &uni, &local).unwrap();
 
     // One row per block: ANTLOC, COMP, TRANSP, AVIN, AVOUT, ANTIN, ANTOUT.
+    type Bits = &'static [usize];
+    type Row = (&'static str, Bits, Bits, Bits, Bits, Bits, Bits, Bits);
     #[rustfmt::skip]
-    let golden: &[(&str, &[usize], &[usize], &[usize], &[usize], &[usize], &[usize], &[usize])] = &[
+    let golden: &[Row] = &[
         ("entry",   &[],         &[],        FULL,            &[],       &[],        FULL,       FULL),
         ("exit",    &[],         &[],        FULL,            &[AB, OR], &[AB, OR],  &[],        &[]),
         ("cond",    &[],         &[],        FULL,            &[],       &[],        FULL,       FULL),
@@ -177,23 +179,22 @@ fn edge_insert_and_delete_match_the_figure() {
     }
 
     // The fused pipeline pins the same placement.
-    let p = lcm(&f).unwrap();
+    let p = lcm(&f, &mut SolverScratch::new()).unwrap();
     assert_eq!(p.lazy.plan.edge_inserts, lazy.plan.edge_inserts);
     assert_eq!(p.lazy.delete, lazy.delete);
 }
 
 #[test]
 fn every_solver_strategy_pins_the_same_figure_placement() {
-    use lcm::dataflow::{SolveStrategy, SolverScratch};
-
+    // The round-robin reference path against the fused SCC-priority one.
     let f = running_example();
-    let mut scratch = SolverScratch::new();
-    let baseline = lcm::core::lcm_with(&f, SolveStrategy::RoundRobin, &mut scratch).unwrap();
-    for strategy in [SolveStrategy::Worklist, SolveStrategy::SccPriority] {
-        let p = lcm::core::lcm_with(&f, strategy, &mut scratch).unwrap();
-        assert_eq!(p.lazy.laterin, baseline.lazy.laterin, "{}", strategy.name());
-        assert_eq!(p.lazy.plan.edge_inserts, baseline.lazy.plan.edge_inserts);
-        assert_eq!(p.lazy.plan.entry_insert, baseline.lazy.plan.entry_insert);
-        assert_eq!(p.lazy.delete, baseline.lazy.delete);
-    }
+    let uni = ExprUniverse::of(&f);
+    let local = LocalPredicates::compute(&f, &uni);
+    let ga = GlobalAnalyses::compute(&f, &uni, &local).unwrap();
+    let reference = lazy_edge_plan(&f, &uni, &local, &ga).unwrap();
+    let fused = lcm(&f, &mut SolverScratch::new()).unwrap().lazy;
+    assert_eq!(fused.laterin, reference.laterin);
+    assert_eq!(fused.plan.edge_inserts, reference.plan.edge_inserts);
+    assert_eq!(fused.plan.entry_insert, reference.plan.entry_insert);
+    assert_eq!(fused.delete, reference.delete);
 }

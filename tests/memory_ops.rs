@@ -4,10 +4,23 @@
 
 use lcm::cfggen::{corpus, GenOptions};
 use lcm::core::{
-    check_memory_kills, optimize_checked, optimize_pipeline, ExprUniverse, LocalPredicates,
-    PreAlgorithm, ValidationLevel,
+    check_memory_kills, optimize_pipeline, ExprUniverse, LocalPredicates, OptimizeBudget, Pipeline,
+    PipelineError, PreAlgorithm, ValidationLevel,
 };
-use lcm::ir::{parse_function, Expr, Instr};
+use lcm::dataflow::SolverScratch;
+use lcm::ir::{parse_function, Expr, Function, Instr};
+
+/// `alg` on `f` through the checked entry point at the full tier.
+fn full_tier(f: &Function, alg: PreAlgorithm) -> Result<(), PipelineError> {
+    let pipeline = Pipeline {
+        placement: alg,
+        weights: None,
+        validation: ValidationLevel::Full,
+        seed: 0x1c3a_57ed,
+        budget: &OptimizeBudget::unlimited(),
+    };
+    pipeline.run(f, &mut SolverScratch::new()).map(drop)
+}
 
 const MEMORY_LOOP: &str = include_str!(concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -127,7 +140,7 @@ fn memory_corpus_validates_full_tier_under_all_placements() {
             PreAlgorithm::LazyEdge,
             PreAlgorithm::Speculative,
         ] {
-            optimize_checked(f, alg, ValidationLevel::Full, 0x1c3a_57ed).unwrap_or_else(|e| {
+            full_tier(f, alg).unwrap_or_else(|e| {
                 panic!(
                     "{} failed full-tier validation on {}: {e}",
                     alg.name(),
@@ -149,7 +162,7 @@ fn golden_pair_validates_under_every_algorithm() {
     for text in [MEMORY_LOOP, MEMORY_ALIAS] {
         let f = parse_function(text).unwrap();
         for alg in PreAlgorithm::ALL {
-            optimize_checked(&f, alg, ValidationLevel::Full, 0x1c3a_57ed).unwrap_or_else(|e| {
+            full_tier(&f, alg).unwrap_or_else(|e| {
                 panic!("{} failed full validation on {}: {e}", alg.name(), f.name)
             });
         }

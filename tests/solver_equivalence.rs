@@ -1,18 +1,18 @@
-//! Solver equivalence: the round-robin solver, the worklist solver, and
-//! the fused pipeline (shared `CfgView` + worklist) reach bit-identical
-//! fixpoints for every analysis, on every function of the generator
-//! corpus — and therefore identical insert/delete placements.
+//! Solver equivalence: the round-robin solver and the fused pipeline's
+//! SCC-priority solver (shared `CfgView`) reach bit-identical fixpoints
+//! for every analysis, on every function of the generator corpus — and
+//! therefore identical insert/delete placements.
 //!
-//! This is the safety net under the fused `lcm()` path: the worklist
-//! strategy and the shared orderings are pure cost optimisations, never
-//! allowed to change an answer.
+//! This is the safety net under the fused `lcm()` path: the SCC schedule
+//! and the shared orderings are pure cost optimisations, never allowed to
+//! change an answer.
 
 use lcm::cfggen::{arbitrary, corpus, random_dag, shapes, GenOptions};
 use lcm::core::{
     anticipability_problem, availability_problem, later_problem, lazy_edge_plan, lcm, ExprUniverse,
     GlobalAnalyses, LocalPredicates,
 };
-use lcm::dataflow::CfgView;
+use lcm::dataflow::{CfgView, SolveStrategy, SolverScratch};
 use lcm::ir::Function;
 
 /// Structured programs, arbitrary (possibly irreducible) CFGs, DAGs and
@@ -37,16 +37,17 @@ fn all_solvers_reach_the_same_fixpoint_for_every_analysis() {
         let local = LocalPredicates::compute(&f, &uni);
         let ga = GlobalAnalyses::compute(&f, &uni, &local).unwrap();
         let view = CfgView::new(&f);
+        let mut scratch = SolverScratch::new();
         for (name, p) in [
             ("availability", availability_problem(&f, &uni, &local)),
             ("anticipability", anticipability_problem(&f, &uni, &local)),
             ("later", later_problem(&f, &uni, &local, &ga)),
         ] {
             let rr = p.solve();
-            let wl = p.solve_worklist();
-            let fused = p.solve_worklist_in(&view);
-            assert_eq!(rr.ins, wl.ins, "{name} ins differ on {}", f.name);
-            assert_eq!(rr.outs, wl.outs, "{name} outs differ on {}", f.name);
+            let shared = p.solve_with(SolveStrategy::RoundRobin, &view, &mut scratch);
+            let fused = p.solve_with(SolveStrategy::SccPriority, &view, &mut scratch);
+            assert_eq!(rr.ins, shared.ins, "{name} ins differ on {}", f.name);
+            assert_eq!(rr.outs, shared.outs, "{name} outs differ on {}", f.name);
             assert_eq!(rr.ins, fused.ins, "{name} fused ins differ on {}", f.name);
             assert_eq!(
                 rr.outs, fused.outs,
@@ -65,8 +66,8 @@ fn fused_pipeline_placement_is_bit_identical_to_the_seed_path() {
         let local = LocalPredicates::compute(&f, &uni);
         let ga = GlobalAnalyses::compute(&f, &uni, &local).unwrap();
         let lazy = lazy_edge_plan(&f, &uni, &local, &ga).unwrap();
-        // Fused path: shared view, worklist solver.
-        let p = lcm(&f).unwrap();
+        // Fused path: shared view, SCC-priority solver.
+        let p = lcm(&f, &mut SolverScratch::new()).unwrap();
         assert_eq!(p.analyses.avail.ins, ga.avail.ins, "{}", f.name);
         assert_eq!(p.analyses.avail.outs, ga.avail.outs, "{}", f.name);
         assert_eq!(p.analyses.antic.ins, ga.antic.ins, "{}", f.name);

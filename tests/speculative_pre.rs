@@ -13,19 +13,49 @@
 //!    degrades to `lcm`, never past it).
 //!
 //! A fourth test pins batch determinism: a weighted module optimized under
-//! `--placement spec` renders byte-identically at every thread count.
+//! `--placement spec` renders byte-identically at every thread count, and
+//! a fifth pins that a fuel budget cancels a weighted speculative run.
 
 use lcm::cfggen::{corpus, synthetic_profile, GenOptions};
-use lcm::core::validate::{sample_inputs, validate_optimized};
-use lcm::core::{optimize, optimize_speculative, EdgeWeights, PreAlgorithm, ValidationLevel};
+use lcm::core::validate::sample_inputs;
+use lcm::core::{
+    optimize, CancelReason, EdgeWeights, OptimizeBudget, Optimized, Pipeline, PipelineError,
+    PreAlgorithm, ValidationLevel,
+};
+use lcm::dataflow::SolverScratch;
 use lcm::driver::{report, BatchEngine, BatchOptions, BatchUnit};
 use lcm::interp::run;
-use lcm::ir::{Module, Profile};
+use lcm::ir::{Function, Module, Profile};
 
 const CORPUS_SEED: u64 = 0x5EC_0001;
 const CORPUS_SIZE: usize = 300;
 const VALIDATION_SEED: u64 = 0x1c3a_57ed;
 const FUEL: u64 = 200_000;
+
+/// Speculative PRE of `f` under `w` through the checked entry point.
+fn speculate(
+    f: &Function,
+    w: &EdgeWeights,
+    validation: ValidationLevel,
+    budget: &OptimizeBudget,
+) -> Result<Optimized, PipelineError> {
+    let pipeline = Pipeline {
+        placement: PreAlgorithm::Speculative,
+        weights: Some(w),
+        validation,
+        seed: VALIDATION_SEED,
+        budget,
+    };
+    pipeline
+        .run(f, &mut SolverScratch::new())
+        .map(|(opt, _)| opt)
+}
+
+/// Unvalidated, unbudgeted speculative PRE.
+fn speculative(f: &Function, w: &EdgeWeights) -> Optimized {
+    speculate(f, w, ValidationLevel::Off, &OptimizeBudget::unlimited())
+        .expect("speculative pipeline")
+}
 
 #[test]
 fn speculative_placements_validate_at_the_full_tier() {
@@ -35,12 +65,11 @@ fn speculative_placements_validate_at_the_full_tier() {
         let profile = synthetic_profile(f, CORPUS_SEED ^ i as u64);
         let w = EdgeWeights::from_profile(f, &profile)
             .expect("synthetic profiles are flow-conserving by construction");
-        let opt = optimize_speculative(f, &w).expect("speculative pipeline");
+        let opt = speculate(f, &w, ValidationLevel::Full, &OptimizeBudget::unlimited())
+            .unwrap_or_else(|e| panic!("function #{i} failed full validation: {e}"));
         let stats = opt.spec.expect("speculative runs record SpecStats");
         candidates += stats.candidates;
         speculated += stats.speculated;
-        validate_optimized(f, &opt, ValidationLevel::Full, VALIDATION_SEED)
-            .unwrap_or_else(|e| panic!("function #{i} failed full validation: {e}"));
     }
     // The corpus must actually exercise speculation, not vacuously pass.
     assert!(candidates > 0, "no speculation candidates in the corpus");
@@ -64,7 +93,7 @@ fn measured_profiles_never_increase_dynamic_evaluations() {
         let profile = Profile::from_weights(f, &base.edge_visits);
         let w = EdgeWeights::from_profile(f, &profile)
             .unwrap_or_else(|e| panic!("measured profile of #{i} must resolve: {e}"));
-        let spec = optimize_speculative(f, &w).expect("speculative pipeline");
+        let spec = speculative(f, &w);
         let lcm = optimize(f, PreAlgorithm::LazyEdge).expect("lcm pipeline");
         let spec_run = run(&spec.function, &inputs, FUEL);
         let lcm_run = run(&lcm.function, &inputs, FUEL);
@@ -104,7 +133,7 @@ fn a_degenerate_profile_reproduces_lcm_bit_for_bit() {
     for (i, f) in fns.iter().enumerate() {
         let zero = Profile::from_weights(f, &vec![0; lcm::ir::EdgeList::new(f).len()]);
         let w = EdgeWeights::from_profile(f, &zero).expect("all-zero weights conserve flow");
-        let spec = optimize_speculative(f, &w).expect("speculative pipeline");
+        let spec = speculative(f, &w);
         let lcm = optimize(f, PreAlgorithm::LazyEdge).expect("lcm pipeline");
         assert_eq!(
             spec.function.to_string(),
@@ -184,4 +213,30 @@ fn profiles_split_cache_entries_and_their_absence_does_not() {
     let second = engine.run(vec![profiled, bare]);
     assert_eq!(second.totals.computed, 0);
     assert_eq!(second.totals.ok, 2);
+}
+
+#[test]
+fn a_fuel_budget_cancels_weighted_speculation_after_the_solves() {
+    let f = corpus(CORPUS_SEED, 1, &GenOptions::default()).remove(0);
+    let w = EdgeWeights::from_profile(&f, &synthetic_profile(&f, CORPUS_SEED))
+        .expect("synthetic profiles are flow-conserving by construction");
+    let starved = OptimizeBudget::unlimited().with_fuel(1);
+    let err = speculate(&f, &w, ValidationLevel::Fast, &starved).unwrap_err();
+    let PipelineError::Cancelled(c) = err else {
+        panic!("fuel=1 must cancel, got {err}");
+    };
+    // Fuel is charged against the fused pipeline's node visits once the
+    // solves finish, so the run stops at the validation boundary.
+    assert_eq!(c.stage, "validate");
+    let CancelReason::Fuel { used, limit } = c.reason else {
+        panic!("expected a fuel cancellation, got {c}");
+    };
+    assert_eq!(limit, 1);
+    assert!(used > 1, "the solves visited only {used} nodes");
+    // Exactly the visits the run needs are enough: the ceiling is
+    // inclusive, and the admitted run is the full speculative placement.
+    let exact = OptimizeBudget::unlimited().with_fuel(used);
+    let opt = speculate(&f, &w, ValidationLevel::Fast, &exact).expect("fuel covers the run");
+    assert_eq!(opt.algorithm, PreAlgorithm::Speculative);
+    assert!(opt.spec.is_some());
 }

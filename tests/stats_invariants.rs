@@ -1,4 +1,4 @@
-//! Invariants of the solver cost counters ([`SolveStats`]): the worklist
+//! Invariants of the solver cost counters ([`SolveStats`]): the SCC-priority
 //! solver never visits more nodes than the round-robin solver, the fused
 //! pipeline's counters are non-trivial, and the report's total row is the
 //! exact sum of the per-analysis rows.
@@ -8,6 +8,7 @@ use lcm::core::{
     anticipability_problem, availability_problem, later_problem, lcm, report, ExprUniverse,
     GlobalAnalyses, LocalPredicates,
 };
+use lcm::dataflow::{CfgView, SolveStrategy, SolverScratch};
 use lcm::ir::Function;
 
 fn test_corpus() -> Vec<Function> {
@@ -18,32 +19,34 @@ fn test_corpus() -> Vec<Function> {
 }
 
 #[test]
-fn worklist_never_visits_more_nodes_than_round_robin() {
+fn scc_never_visits_more_nodes_than_round_robin() {
+    let mut scratch = SolverScratch::new();
     for f in test_corpus() {
         let uni = ExprUniverse::of(&f);
         let local = LocalPredicates::compute(&f, &uni);
         let ga = GlobalAnalyses::compute(&f, &uni, &local).unwrap();
+        let view = CfgView::new(&f);
         for (name, p) in [
             ("availability", availability_problem(&f, &uni, &local)),
             ("anticipability", anticipability_problem(&f, &uni, &local)),
             ("later", later_problem(&f, &uni, &local, &ga)),
         ] {
             let rr = p.solve();
-            let wl = p.solve_worklist();
+            let scc = p.solve_with(SolveStrategy::SccPriority, &view, &mut scratch);
             assert!(
-                wl.stats.node_visits <= rr.stats.node_visits,
-                "{name} on {}: worklist {} visits > round-robin {}",
+                scc.stats.node_visits <= rr.stats.node_visits,
+                "{name} on {}: scc {} visits > round-robin {}",
                 f.name,
-                wl.stats.node_visits,
+                scc.stats.node_visits,
                 rr.stats.node_visits
             );
-            // Round-robin always needs a final no-change sweep; the
-            // worklist strategy reports pops instead of sweeps.
+            // Round-robin always needs a final no-change sweep; the SCC
+            // worklist reports pops instead of sweeps.
             assert!(rr.stats.iterations >= 1, "{name} on {}", f.name);
-            assert_eq!(wl.stats.iterations, 0, "{name} on {}", f.name);
+            assert_eq!(scc.stats.iterations, 0, "{name} on {}", f.name);
             // Both visit at least every reachable block once.
             assert!(
-                wl.stats.node_visits >= f.num_blocks(),
+                scc.stats.node_visits >= f.num_blocks(),
                 "{name} on {}",
                 f.name
             );
@@ -53,8 +56,9 @@ fn worklist_never_visits_more_nodes_than_round_robin() {
 
 #[test]
 fn pipeline_totals_are_the_sum_of_the_analyses() {
+    let mut scratch = SolverScratch::new();
     for f in test_corpus().into_iter().take(20) {
-        let p = lcm(&f).unwrap();
+        let p = lcm(&f, &mut scratch).unwrap();
         let total = p.stats.total();
         assert_eq!(
             total.node_visits,
@@ -103,7 +107,7 @@ fn pipeline_totals_are_the_sum_of_the_analyses() {
 
 #[test]
 fn fused_pipeline_is_cheaper_than_the_seed_path_in_aggregate() {
-    // Per-function the worklist can tie the round-robin cost on tiny
+    // Per-function the SCC worklist can tie the round-robin cost on tiny
     // graphs, but over a corpus the change-driven strategy must win on
     // both counters.
     let mut rr_visits = 0usize;
@@ -117,7 +121,7 @@ fn fused_pipeline_is_cheaper_than_the_seed_path_in_aggregate() {
         let lazy = lcm::core::lazy_edge_plan(&f, &uni, &local, &ga).unwrap();
         rr_visits += ga.stats.node_visits + lazy.stats.node_visits;
         rr_words += ga.stats.word_ops + lazy.stats.word_ops;
-        let p = lcm(&f).unwrap();
+        let p = lcm(&f, &mut SolverScratch::new()).unwrap();
         fused_visits += p.stats.total().node_visits;
         fused_words += p.stats.total().word_ops;
     }

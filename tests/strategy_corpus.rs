@@ -1,6 +1,7 @@
-//! Strategy-equivalence property suite: the round-robin, plain-worklist
-//! and SCC-priority solvers reach **bit-identical** `Solution`s for every
-//! analysis — and therefore identical insert/delete placements — across a
+//! Strategy-equivalence property suite: the round-robin reference solver
+//! and the SCC-priority production solver reach **bit-identical**
+//! `Solution`s for every analysis — and the fused `lcm` pipeline therefore
+//! reaches the round-robin path's insert/delete placements — across a
 //! seeded corpus of 500+ random control-flow graphs: structured reducible
 //! programs (loopy and loop-free), free-form possibly-irreducible CFGs,
 //! and DAGs.
@@ -13,7 +14,7 @@
 
 use lcm::cfggen::{arbitrary, corpus, random_dag, GenOptions};
 use lcm::core::{
-    anticipability_problem, availability_problem, later_problem, lcm_with, ExprUniverse,
+    anticipability_problem, availability_problem, later_problem, lazy_edge_plan, lcm, ExprUniverse,
     GlobalAnalyses, LocalPredicates,
 };
 use lcm::dataflow::{CfgView, SolveStrategy, SolverScratch};
@@ -32,7 +33,7 @@ fn big_corpus() -> Vec<Function> {
 }
 
 #[test]
-fn all_three_strategies_produce_bit_identical_solutions() {
+fn rr_and_scc_produce_bit_identical_solutions() {
     let mut scratch = SolverScratch::new();
     for f in big_corpus() {
         let uni = ExprUniverse::of(&f);
@@ -44,74 +45,45 @@ fn all_three_strategies_produce_bit_identical_solutions() {
             ("anticipability", anticipability_problem(&f, &uni, &local)),
             ("later", later_problem(&f, &uni, &local, &ga)),
         ] {
-            let baseline = p.solve_with(SolveStrategy::RoundRobin, &view, &mut scratch);
-            for strategy in [SolveStrategy::Worklist, SolveStrategy::SccPriority] {
-                let other = p.solve_with(strategy, &view, &mut scratch);
-                assert_eq!(
-                    baseline.ins,
-                    other.ins,
-                    "{name} ins: {} vs rr on {}",
-                    strategy.name(),
-                    f.name
-                );
-                assert_eq!(
-                    baseline.outs,
-                    other.outs,
-                    "{name} outs: {} vs rr on {}",
-                    strategy.name(),
-                    f.name
-                );
-            }
+            let rr = p.solve_with(SolveStrategy::RoundRobin, &view, &mut scratch);
+            let scc = p.solve_with(SolveStrategy::SccPriority, &view, &mut scratch);
+            assert_eq!(rr.ins, scc.ins, "{name} ins: scc vs rr on {}", f.name);
+            assert_eq!(rr.outs, scc.outs, "{name} outs: scc vs rr on {}", f.name);
         }
     }
 }
 
 #[test]
-fn all_three_strategies_produce_identical_placements() {
+fn fused_lcm_matches_round_robin_placements() {
     let mut scratch = SolverScratch::new();
     for f in big_corpus().into_iter().step_by(3) {
-        let baseline = lcm_with(&f, SolveStrategy::RoundRobin, &mut scratch).unwrap();
-        for strategy in [SolveStrategy::Worklist, SolveStrategy::SccPriority] {
-            let other = lcm_with(&f, strategy, &mut scratch).unwrap();
-            assert_eq!(
-                baseline.lazy.laterin,
-                other.lazy.laterin,
-                "laterin: {} on {}",
-                strategy.name(),
-                f.name
-            );
-            assert_eq!(
-                baseline.lazy.plan.edge_inserts,
-                other.lazy.plan.edge_inserts,
-                "edge inserts: {} on {}",
-                strategy.name(),
-                f.name
-            );
-            assert_eq!(
-                baseline.lazy.plan.entry_insert,
-                other.lazy.plan.entry_insert,
-                "entry insert: {} on {}",
-                strategy.name(),
-                f.name
-            );
-            assert_eq!(
-                baseline.lazy.delete,
-                other.lazy.delete,
-                "delete: {} on {}",
-                strategy.name(),
-                f.name
-            );
-        }
+        let uni = ExprUniverse::of(&f);
+        let local = LocalPredicates::compute(&f, &uni);
+        let ga = GlobalAnalyses::compute(&f, &uni, &local).unwrap();
+        let reference = lazy_edge_plan(&f, &uni, &local, &ga).unwrap();
+        let fused = lcm(&f, &mut scratch).unwrap().lazy;
+        assert_eq!(reference.laterin, fused.laterin, "laterin on {}", f.name);
+        assert_eq!(
+            reference.plan.edge_inserts, fused.plan.edge_inserts,
+            "edge inserts on {}",
+            f.name
+        );
+        assert_eq!(
+            reference.plan.entry_insert, fused.plan.entry_insert,
+            "entry insert on {}",
+            f.name
+        );
+        assert_eq!(reference.delete, fused.delete, "delete on {}", f.name);
     }
 }
 
 #[test]
-fn scc_priority_beats_plain_worklist_revisits_on_the_loopy_corpus() {
-    // Loop-free graphs tie (both strategies visit each block ~once); on the
-    // loopy part of the corpus the SCC drain must reduce scheduling waste
-    // in aggregate, and never lose.
+fn scc_priority_beats_round_robin_revisits_on_the_loopy_corpus() {
+    // On the loopy part of the corpus round-robin re-sweeps every block
+    // until a sweep changes nothing; the SCC drain revisits only inside
+    // loops and must cut scheduling waste in aggregate.
     let mut scratch = SolverScratch::new();
-    let mut wl_revisits = 0usize;
+    let mut rr_revisits = 0usize;
     let mut scc_revisits = 0usize;
     for f in big_corpus() {
         let view = CfgView::new(&f);
@@ -121,8 +93,8 @@ fn scc_priority_beats_plain_worklist_revisits_on_the_loopy_corpus() {
         let uni = ExprUniverse::of(&f);
         let local = LocalPredicates::compute(&f, &uni);
         let p = availability_problem(&f, &uni, &local);
-        wl_revisits += p
-            .solve_with(SolveStrategy::Worklist, &view, &mut scratch)
+        rr_revisits += p
+            .solve_with(SolveStrategy::RoundRobin, &view, &mut scratch)
             .stats
             .node_revisits;
         scc_revisits += p
@@ -131,7 +103,7 @@ fn scc_priority_beats_plain_worklist_revisits_on_the_loopy_corpus() {
             .node_revisits;
     }
     assert!(
-        scc_revisits < wl_revisits,
-        "SCC-priority revisits {scc_revisits} not below worklist {wl_revisits}"
+        scc_revisits < rr_revisits,
+        "SCC-priority revisits {scc_revisits} not below round-robin {rr_revisits}"
     );
 }
