@@ -99,10 +99,11 @@ cargo run -q --release --bin lcmopt -- --validate=full \
 diff testdata/memory_alias.lcm "$SMOKE/memalias.out"
 
 # Watch smoke: an edit stream through `lcmopt watch` must track the file
-# and answer byte-identically to a one-shot batch of each revision. The
-# output memo is the only reuse: an edited function recomputes, and a
-# function the save left untouched (including a byte-different but
-# parse-identical rewrite) replays its zero-dirty memo.
+# and answer byte-identically to a one-shot batch of each revision. An
+# edited function computes, a function the save left untouched (including
+# a byte-different but parse-identical rewrite) replays through its
+# zero-dirty memo index, and an undo to an earlier revision is a
+# re-validated plan-cache hit.
 echo "==> watch smoke: scripted edits, output diffed vs one-shot batch"
 LCMOPT="$(pwd)/target/release/lcmopt"
 WFILE="$SMOKE/watched.lcm"
@@ -155,8 +156,10 @@ awk '{ print } /y = a \+ b/ { print "  a = 1" }' "$SMOKE/rev0.lcm" \
 # Revision 3: an edit to `straight` that adds a new expression `p + q`.
 awk '{ print } /x = p \* q/ { print "  w = p + q"; print "  obs w" }' \
   "$SMOKE/rev2.lcm" > "$SMOKE/rev3.lcm"
+# Revision 4: `d` reverts to revision 0 (undo of edit 1).
+grep -v '^  a = 1$' "$SMOKE/rev3.lcm" > "$SMOKE/rev4.lcm"
 cp "$SMOKE/rev0.lcm" "$WFILE"
-"$LCMOPT" watch "$WFILE" --iterations 3 --interval-ms 20 \
+"$LCMOPT" watch "$WFILE" --iterations 4 --interval-ms 20 \
   -o "$SMOKE/watch.out" 2> "$SMOKE/watch.log" &
 WATCH_PID=$!
 # The initial revision's output appears before polling starts; edit only
@@ -168,11 +171,12 @@ while [ ! -s "$SMOKE/watch.out" ] && [ "$i" -lt 100 ]; do i=$((i + 1)); sleep 0.
 diff "$SMOKE/watch.out" "$SMOKE/rev0.batch"
 "$LCMOPT" batch "$SMOKE/rev1.lcm" --emit text > "$SMOKE/rev1.batch" 2>/dev/null
 "$LCMOPT" batch "$SMOKE/rev3.lcm" --emit text > "$SMOKE/rev3.batch" 2>/dev/null
-# Edit 1: fn d recomputes, untouched fn straight replays its memo.
+"$LCMOPT" batch "$SMOKE/rev4.lcm" --emit text > "$SMOKE/rev4.batch" 2>/dev/null
+# Edit 1: fn d computes, untouched fn straight replays its memo.
 publish "$SMOKE/rev1.lcm"
 wait_iter 1
 wait_out "$SMOKE/rev1.batch"
-grep -q "watch\[1\]: fn d: recomputed$" "$SMOKE/watch.log"
+grep -q "watch\[1\]: fn d: computed$" "$SMOKE/watch.log"
 grep -q "watch\[1\]: fn straight: zero-dirty$" "$SMOKE/watch.log"
 # Edit 2: no-op rewrite — both functions replay their memos and the
 # output file stays byte-identical to revision 1's.
@@ -181,14 +185,23 @@ wait_iter 2
 grep -q "watch\[2\]: fn d: zero-dirty$" "$SMOKE/watch.log"
 grep -q "watch\[2\]: fn straight: zero-dirty$" "$SMOKE/watch.log"
 diff "$SMOKE/watch.out" "$SMOKE/rev1.batch"
-# Edit 3: now fn straight recomputes and fn d replays.
+# Edit 3: now fn straight computes and fn d replays.
 publish "$SMOKE/rev3.lcm"
-wait "$WATCH_PID"
+wait_iter 3
 wait_out "$SMOKE/rev3.batch"
-grep -q "watch\[3\]: fn straight: recomputed$" "$SMOKE/watch.log"
+grep -q "watch\[3\]: fn straight: computed$" "$SMOKE/watch.log"
 grep -q "watch\[3\]: fn d: zero-dirty$" "$SMOKE/watch.log"
 grep -q "watch\[3\]: 2 ok, 0 failed; session: 4 zero-dirty, 2 recomputed;" \
   "$SMOKE/watch.log"
+# Edit 4: the undo makes fn d a re-validated cache hit, not a recompute.
+publish "$SMOKE/rev4.lcm"
+wait "$WATCH_PID"
+wait_out "$SMOKE/rev4.batch"
+grep -q "watch\[4\]: fn d: hit$" "$SMOKE/watch.log"
+grep -q "watch\[4\]: fn straight: zero-dirty$" "$SMOKE/watch.log"
+grep -q "watch\[4\]: 2 ok, 0 failed; session: 5 zero-dirty, 2 recomputed;" \
+  "$SMOKE/watch.log"
+diff "$SMOKE/watch.out" "$SMOKE/rev4.batch"
 
 # Serve smoke: the daemon must answer byte-identically to batch, survive a
 # SIGKILL crash (the write-behind cache file either loads or quarantines,

@@ -36,7 +36,7 @@ use lcm_core::{
     busy_plan, lazy_edge_plan, lazy_node_plan, metrics, optimize, passes, safety, ExprUniverse,
     GlobalAnalyses, LocalPredicates, PreAlgorithm,
 };
-use lcm_driver::{BatchEngine, BatchOptions, BatchUnit};
+use lcm_driver::{BatchEngine, BatchOptions, BatchUnit, UnitOutcome};
 use lcm_interp::{dynamic_occupancy, observationally_equivalent, run, Inputs};
 
 /// Mirror handle for `artifacts/experiments_output.txt`.
@@ -1234,17 +1234,23 @@ fn bench(quick: bool) {
 
     // Memo reuse on a *watch-shaped* workload: a module of K functions
     // re-optimized across R revisions, each revision a seeded content
-    // edit to exactly one function. That is the shape `lcmopt watch` and
-    // the daemon actually see — one function changes, the rest of the
-    // module rides along — so the warm engine replays K-1 units per
-    // revision from the zero-dirty output memo and recomputes the edited
-    // one, while the cold baseline pays K pipeline runs.
+    // edit to exactly one function or an undo of the previous edit. That
+    // is the shape `lcmopt watch` and the daemon actually see — one
+    // function changes, the rest of the module rides along — so the warm
+    // engine replays K-1 units per revision through the zero-dirty memo
+    // index and recomputes (or, for an undo, re-validates) the edited one,
+    // while the cold baseline pays K pipeline runs. The memo
+    // is an index into the plan cache, so the warm engine keeps its cache
+    // on; the cold one runs cache-less.
     let (inc_block_size, inc_n_fns, inc_revs) = if quick { (120, 6, 6) } else { (240, 24, 24) };
     let inc_corpus = sized_corpus(inc_block_size, inc_n_fns);
     let inc_opts = BatchOptions {
         jobs: 1,
-        use_cache: false,
         ..BatchOptions::default()
+    };
+    let cold_opts = BatchOptions {
+        use_cache: false,
+        ..inc_opts
     };
     let mut cur: Vec<_> = inc_corpus
         .iter()
@@ -1264,9 +1270,17 @@ fn bench(quick: bool) {
     };
     let base_m = module_of(&cur);
     let mut rng = lcm_cfggen::seeded(0x1BC9);
+    // Every fourth revision undoes the one before it: the undone function
+    // is a cache hit, and the revisions after replay it again.
+    let mut undo = cur[0].clone();
     let revisions: Vec<lcm_ir::Module> = (0..inc_revs)
         .map(|r| {
-            lcm_cfggen::mutate_function(&mut cur[r % inc_n_fns], &mut rng, 0.0);
+            if r % 4 == 3 {
+                cur[(r - 1) % inc_n_fns] = undo.clone();
+            } else {
+                undo = cur[r % inc_n_fns].clone();
+                lcm_cfggen::mutate_function(&mut cur[r % inc_n_fns], &mut rng, 0.0);
+            }
             module_of(&cur)
         })
         .collect();
@@ -1277,9 +1291,9 @@ fn bench(quick: bool) {
     for _ in 0..batch_reps.max(2) {
         let t0 = Instant::now();
         for m in &revisions {
-            let mut engine = BatchEngine::new(inc_opts);
+            let mut engine = BatchEngine::new(cold_opts);
             let r = engine.run_module_incremental(m);
-            assert!(r.iter().all(|u| u.outcome.is_ok()));
+            assert!(r.iter().all(|u| matches!(u.outcome, UnitOutcome::Ok(_))));
         }
         fresh_best = fresh_best.min(t0.elapsed().as_secs_f64());
 
@@ -1288,7 +1302,7 @@ fn bench(quick: bool) {
         let t0 = Instant::now();
         for m in &revisions {
             let r = engine.run_module_incremental(m);
-            assert!(r.iter().all(|u| u.outcome.is_ok()));
+            assert!(r.iter().all(|u| matches!(u.outcome, UnitOutcome::Ok(_))));
         }
         warm_best = warm_best.min(t0.elapsed().as_secs_f64());
         memo = engine.memo_stats();
@@ -1299,10 +1313,10 @@ fn bench(quick: bool) {
         let mut warm = BatchEngine::new(inc_opts);
         warm.run_module_incremental(&base_m);
         for (r, m) in revisions.iter().enumerate() {
-            let mut cold = BatchEngine::new(inc_opts);
+            let mut cold = BatchEngine::new(cold_opts);
             assert_eq!(
-                lcm_driver::report::render_incremental_text(&warm.run_module_incremental(m)),
-                lcm_driver::report::render_incremental_text(&cold.run_module_incremental(m)),
+                lcm_driver::report::render_text(&warm.run_module_incremental(m)),
+                lcm_driver::report::render_text(&cold.run_module(m)),
                 "memoized re-optimization diverged from fresh at revision {r}"
             );
         }

@@ -103,9 +103,10 @@ impl OptimizeBudget {
         self
     }
 
-    /// Whether no constraint is attached at all.
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.fuel.is_none() && self.cancel.is_none()
+    /// Whether a deadline or a fuel cap is attached (a cancel flag alone
+    /// does not count).
+    pub fn is_capped(&self) -> bool {
+        self.deadline.is_some() || self.fuel.is_some()
     }
 
     /// Checks the deadline and the cancel flag at a stage boundary.
@@ -162,7 +163,7 @@ mod tests {
     #[test]
     fn unlimited_budget_never_cancels() {
         let b = OptimizeBudget::unlimited();
-        assert!(b.is_unlimited());
+        assert!(!b.is_capped());
         b.check("any").unwrap();
         b.check_fuel("any", u64::MAX).unwrap();
     }
@@ -179,6 +180,7 @@ mod tests {
     #[test]
     fn fuel_ceiling_is_exact() {
         let b = OptimizeBudget::unlimited().with_fuel(10);
+        assert!(b.is_capped());
         b.check_fuel("solve", 10).unwrap();
         let err = b.check_fuel("solve", 11).unwrap_err();
         assert_eq!(
@@ -195,6 +197,7 @@ mod tests {
     fn cancel_flag_fires_at_the_next_check() {
         let flag = Arc::new(AtomicBool::new(false));
         let b = OptimizeBudget::unlimited().with_cancel_flag(flag.clone());
+        assert!(!b.is_capped());
         b.check("a").unwrap();
         flag.store(true, Ordering::Relaxed);
         assert_eq!(b.check("b").unwrap_err().reason, CancelReason::Flag);

@@ -14,7 +14,7 @@
 //! function-index order, which keeps the eviction sequence — and therefore
 //! the hit/miss/eviction counters — identical for every `--jobs` value.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 
 use lcm_core::transform::TransformStats;
@@ -106,6 +106,14 @@ impl PlanCache {
         }
     }
 
+    /// Raises a bounded capacity to at least `capacity` entries; never
+    /// shrinks it, and leaves an unbounded cache unbounded.
+    pub(crate) fn grow_capacity(&mut self, capacity: usize) {
+        if self.capacity > 0 {
+            self.capacity = self.capacity.max(capacity);
+        }
+    }
+
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -186,6 +194,22 @@ impl PlanCache {
         if self.capacity > 0 && self.map.len() > self.capacity {
             if let Some(oldest) = self.order.pop_front() {
                 self.map.remove(&oldest);
+            }
+        }
+    }
+
+    /// Moves the live `keys` to the young end of the eviction order, in
+    /// the order given, so FIFO eviction takes every other entry first.
+    pub(crate) fn refresh(&mut self, keys: &[u128]) {
+        let mut young: HashSet<u128> = keys
+            .iter()
+            .copied()
+            .filter(|k| self.map.contains_key(k))
+            .collect();
+        self.order.retain(|k| !young.contains(k));
+        for k in keys {
+            if young.remove(k) {
+                self.order.push_back(*k);
             }
         }
     }

@@ -14,6 +14,13 @@
 //!   canonically-printed function body means duplicate functions across a
 //!   corpus are optimized once; cached plans are **re-validated** on hit,
 //!   so a corrupted cache degrades to a unit failure, not to wrong code.
+//!   The cache is the only place optimized output lives.
+//! * **Edit streams** — `lcmopt watch` and the serve daemon answer each
+//!   unit through one reuse ladder: the zero-dirty memo index (function
+//!   name → fingerprint of its last computed revision, or in `watch` of
+//!   its last re-validated hit, replayed from the cache without
+//!   re-validation), then a re-validated cache hit, then a
+//!   compute that fills both ([`BatchEngine::run_module_incremental`]).
 //! * **Determinism** — cache lookups, cache insertions and report assembly
 //!   are sequential in function order; only the pipeline runs themselves
 //!   are parallel. The rendered output and aggregated statistics are
@@ -59,6 +66,7 @@ pub use persist::{
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 
 use lcm_core::transform::TransformStats;
 use lcm_core::validate::{sample_inputs, validate_optimized, ValidationLevel};
@@ -193,6 +201,11 @@ pub enum CacheDisposition {
     /// Served from the cache — a prior batch's entry or an intra-batch
     /// duplicate's leader.
     Hit,
+    /// Replayed through the zero-dirty memo index: the revision is the one
+    /// this function name last computed (or, in `watch`, last hit) in this
+    /// process, so its cache entry was served without re-validation. Only `watch` and the daemon consult the
+    /// index.
+    ZeroDirty,
 }
 
 impl CacheDisposition {
@@ -202,6 +215,7 @@ impl CacheDisposition {
             CacheDisposition::Uncached => "uncached",
             CacheDisposition::Computed => "computed",
             CacheDisposition::Hit => "hit",
+            CacheDisposition::ZeroDirty => "zero-dirty",
         }
     }
 }
@@ -275,14 +289,10 @@ enum UnitPlan {
     Compute { key: Option<u128> },
     /// Intra-batch duplicate of the unit at `leader` (which computes).
     Replay { leader: usize },
-    /// Already cached. The reporting fields are snapshotted at planning
-    /// time so later insertions (and their evictions) cannot disturb them.
-    Hit {
-        key: u128,
-        output_text: String,
-        pipeline: PipelineStats,
-        transform: TransformStats,
-    },
+    /// Already cached. The answer is snapshotted at planning time so later
+    /// insertions (and their evictions) cannot disturb it; its validator
+    /// counters are filled in at assembly.
+    Hit { key: u128, answer: UnitSuccess },
 }
 
 /// One parallel job: run a unit's pipeline, or re-validate a cached entry.
@@ -307,85 +317,22 @@ struct PersistState {
     status: LoadStatus,
 }
 
-/// The zero-dirty output memo for one function name: the canonical output
-/// of the last revision the engine computed for that name, keyed by the
-/// revision's fingerprint and the options it ran under. An identical
-/// revision replays the text verbatim — no plan, rewrite, validation, or
-/// printing — and anything else recomputes through [`optimize_unit`].
-#[derive(Debug)]
-pub struct OutputMemo {
-    /// Fingerprint (with placement context) of the pre-LCSE input the
-    /// output was computed from.
-    pub key: u128,
-    /// The canonical printed output of that input.
-    pub output_text: String,
-    /// Fingerprint of every output-affecting engine option
-    /// ([`options_tag`]) at the time the memo was recorded. Any placement,
-    /// validation or seed change invalidates the memo — the next revision
-    /// recomputes even on identical input.
-    pub opts_tag: String,
-}
-
-/// The output-affecting option fingerprint an [`OutputMemo`] is keyed
-/// under. Deliberately includes the validation tier and seed even though
-/// they cannot change the output text: a flag change must force a real
-/// run, never a memo replay recorded under different settings.
-pub fn options_tag(opts: &BatchOptions) -> String {
-    format!(
-        "{}|{:?}|{:#x}",
-        opts.placement.name(),
-        opts.validate,
-        opts.seed
-    )
-}
-
-/// What the output memo did for a `watch` or daemon session.
+/// What the zero-dirty memo index did for a `watch` or daemon session.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct MemoStats {
-    /// Identical revisions replayed from the memo.
+    /// Identical revisions replayed through the index.
     pub hits: u64,
-    /// Changed revisions of a memoized function, recomputed from scratch.
+    /// Computes of a function name the index already held.
     pub recomputes: u64,
 }
 
-/// Which path answered one unit of
-/// [`BatchEngine::run_module_incremental`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum IncrementalMode {
-    /// No memo for this function name yet: computed, and memoized.
-    Fresh,
-    /// The function changed since its memo was recorded: recomputed from
-    /// scratch, and the memo replaced.
-    Recomputed,
-    /// The revision is byte-identical (same fingerprint, same options) to
-    /// the memoized one: the output was replayed with no solve, rewrite,
-    /// validation, or printing work at all.
-    ZeroDirty,
-}
-
-impl IncrementalMode {
-    /// Short lowercase label for stats lines (`fresh`, `recomputed`,
-    /// `zero-dirty`).
-    pub fn name(self) -> &'static str {
-        match self {
-            IncrementalMode::Fresh => "fresh",
-            IncrementalMode::Recomputed => "recomputed",
-            IncrementalMode::ZeroDirty => "zero-dirty",
-        }
-    }
-}
-
-/// One function's outcome from [`BatchEngine::run_module_incremental`],
-/// in module order.
-#[derive(Debug)]
-pub struct IncrementalUnit {
-    /// The function's name.
-    pub name: String,
-    /// The optimized function text (name restored, byte-identical to the
-    /// batch pipeline's output), or the typed unit failure.
-    pub outcome: Result<String, UnitError>,
-    /// Which path answered it.
-    pub mode: IncrementalMode,
+/// What the memo index and the plan cache hold for one unit of
+/// [`answer_unit`]: a replayed answer, a hit still to be re-validated, or
+/// nothing.
+enum Lookup {
+    Memo(UnitSuccess),
+    Hit(Box<CacheEntry>),
+    Miss,
 }
 
 /// The batch engine: a [`BatchOptions`] plus a [`PlanCache`] that persists
@@ -396,10 +343,11 @@ pub struct BatchEngine {
     opts: BatchOptions,
     cache: PlanCache,
     persisted: Option<PersistState>,
-    /// Per-function-name output memos. An entry is replaced on every
-    /// recompute of its function and lives until the process exits; the
-    /// map is bounded by the number of distinct function names served.
-    memos: HashMap<String, OutputMemo>,
+    /// The zero-dirty memo index: each function name's fingerprint at its
+    /// last computed revision (in `watch`, also at its last validated hit).
+    /// The output itself lives only in the plan cache, so a memo lasts as
+    /// long as its cache entry does.
+    memos: HashMap<String, u128>,
     memo_stats: MemoStats,
 }
 
@@ -452,13 +400,13 @@ impl BatchEngine {
         base.plus_session(self.cache.stats())
     }
 
-    /// Mutable access to `name`'s output memo — for fault injection and
-    /// tests; the normal driver path never needs it.
-    pub fn memo_mut(&mut self, name: &str) -> Option<&mut OutputMemo> {
+    /// Mutable access to `name`'s memo index key — for fault injection
+    /// and tests; the normal driver path never needs it.
+    pub fn memo_mut(&mut self, name: &str) -> Option<&mut u128> {
         self.memos.get_mut(name)
     }
 
-    /// Output memos currently held.
+    /// Memo index entries currently held.
     pub fn memos_len(&self) -> usize {
         self.memos.len()
     }
@@ -468,37 +416,44 @@ impl BatchEngine {
         self.memo_stats
     }
 
-    /// Replays `name`'s memoized output (canonical name) if it was
-    /// recorded for fingerprint `key` under this engine's options, and
-    /// counts the hit. A dirty function can never match — the fingerprint
-    /// covers the whole canonical body — and an option change invalidates
-    /// via the tag.
-    fn replay_memo(&mut self, name: &str, key: u128) -> Option<String> {
-        let memo = self.memos.get(name)?;
-        if memo.key != key || memo.opts_tag != options_tag(&self.opts) {
-            return None;
+    /// The reuse ladder's lookup: the memo index (when `memo`), then the
+    /// plan cache, counting the hit or miss. A replay needs the indexed
+    /// entry live and computed (so validated) in this process; an evicted
+    /// or stale index falls through to the normal lookup.
+    fn lookup(&mut self, name: &str, key: u128, text: &str, memo: bool) -> Lookup {
+        let entry = self.cache.get(key, text);
+        if memo && self.memos.get(name) == Some(&key) {
+            if let Some(entry) = entry.filter(|e| e.origin.is_some()) {
+                self.memo_stats.hits += 1;
+                return Lookup::Memo(success(entry, name, 0, 0));
+            }
         }
-        self.memo_stats.hits += 1;
-        Some(memo.output_text.clone())
+        match entry {
+            Some(entry) => {
+                let entry = Box::new(entry.clone());
+                self.cache.note_hit();
+                Lookup::Hit(entry)
+            }
+            None => {
+                self.cache.note_miss();
+                Lookup::Miss
+            }
+        }
     }
 
-    /// Records `output_text` (canonical name) as `name`'s memo for `key`.
-    /// Replacing an earlier memo counts as a recompute.
-    fn record_memo(&mut self, name: &str, key: u128, output_text: String) {
-        let memo = OutputMemo {
-            key,
-            output_text,
-            opts_tag: options_tag(&self.opts),
-        };
-        if self.memos.insert(name.to_string(), memo).is_some() {
+    /// The reuse ladder's fill: caches a computed entry and, when `memo`,
+    /// points `name`'s index at it (a recompute if it had one).
+    fn fill(&mut self, name: &str, key: u128, entry: CacheEntry, memo: bool) {
+        self.cache.insert(key, entry);
+        if memo && self.memos.insert(name.to_string(), key).is_some() {
             self.memo_stats.recomputes += 1;
         }
     }
 
-    /// Counts a quarantined *entry*: a persisted entry that failed
-    /// hit-revalidation and was removed (the daemon's recovery path).
-    /// No-op for an in-memory engine.
-    pub fn note_entry_quarantine(&mut self) {
+    /// Removes a persisted entry that failed hit re-validation and counts
+    /// the quarantine in the lifetime counters.
+    fn quarantine(&mut self, key: u128) {
+        self.cache.remove(key);
         if let Some(p) = &mut self.persisted {
             p.base.quarantines += 1;
         }
@@ -516,11 +471,6 @@ impl BatchEngine {
             return Ok(());
         };
         persist::save_cache(&p.path, &self.cache, self.session_totals(p.base))
-    }
-
-    /// The configuration.
-    pub fn options(&self) -> &BatchOptions {
-        &self.opts
     }
 
     /// The plan cache (counters, size).
@@ -547,77 +497,52 @@ impl BatchEngine {
         )
     }
 
-    /// Optimizes every function of `m` sequentially and in module order,
-    /// reusing work only through the output memo: a function whose
-    /// fingerprint and options match its memo replays the memoized text;
-    /// every other function runs the same [`optimize_unit`] pipeline as
-    /// [`BatchEngine::run`] and leaves its output behind as the new memo.
+    /// Optimizes every function of `m` sequentially and in module order
+    /// through the reuse ladder `lcmopt watch` and the serve daemon share
+    /// (`answer_unit`): a function whose fingerprint matches the revision
+    /// its name last answered replays from the cache
+    /// ([`CacheDisposition::ZeroDirty`]); any other cached revision is a
+    /// re-validated [`CacheDisposition::Hit`], which here (unlike in the
+    /// daemon) also moves the index, so an undo replays from the next
+    /// revision on; the rest run the same [`optimize_unit`] pipeline as
+    /// [`BatchEngine::run`] and fill both.
+    ///
+    /// A bounded cache grows to hold two entries per function of `m`, and
+    /// the revision's own entries are moved to the young end of its
+    /// eviction order: FIFO eviction takes superseded revisions first, so
+    /// no function of `m` loses its replay while `m` is being watched.
     ///
     /// Per-unit output text is byte-identical to [`BatchEngine::run_module`]
     /// for the same input and options (pinned by `tests/incremental.rs`
-    /// and `tests/watch.rs`). This is the `lcmopt watch` engine; the serve
-    /// daemon consults the same memo before its plan cache.
-    pub fn run_module_incremental(&mut self, m: &Module) -> Vec<IncrementalUnit> {
+    /// and `tests/watch.rs`); render it with [`report::render_text`].
+    pub fn run_module_incremental(&mut self, m: &Module) -> Vec<UnitReport> {
+        // The index lives only as long as its cache entries: room for the
+        // current revision and as many superseded ones, current kept young.
+        self.cache.grow_capacity(2 * m.len());
+        let budget = OptimizeBudget::unlimited();
         let mut scratch = SolverScratch::new();
-        m.iter()
+        let mut current = Vec::with_capacity(m.len());
+        let units = m
+            .iter()
             .map(|f| {
-                let (outcome, mode) = self.incremental_unit(f, m.profile(&f.name), &mut scratch);
-                IncrementalUnit {
+                let profile = m.profile(&f.name);
+                let (key, cache, outcome) = answer_unit(self, f, profile, &mut scratch, &budget);
+                if let Some(key) = key {
+                    if cache == CacheDisposition::Hit && matches!(outcome, UnitOutcome::Ok(_)) {
+                        self.memos.insert(f.name.clone(), key);
+                    }
+                    current.push(key);
+                }
+                UnitReport {
                     name: f.name.clone(),
+                    file: None,
+                    cache,
                     outcome,
-                    mode,
                 }
             })
-            .collect()
-    }
-
-    fn incremental_unit(
-        &mut self,
-        f: &Function,
-        profile: Option<&Profile>,
-        scratch: &mut SolverScratch,
-    ) -> (Result<String, UnitError>, IncrementalMode) {
-        if let Err(e) = verify(f) {
-            let err = UnitError {
-                kind: FailureKind::InvalidInput,
-                message: e.to_string(),
-            };
-            return (Err(err), IncrementalMode::Fresh);
-        }
-        let weights = if self.opts.placement == PreAlgorithm::Speculative {
-            profile.and_then(|p| EdgeWeights::from_profile(f, p).ok())
-        } else {
-            None
-        };
-        let context = unit_context(self.opts.placement, weights.as_ref());
-        let key = fingerprint_with_context(f, &context).0;
-        if let Some(text) = self.replay_memo(&f.name, key) {
-            return (
-                Ok(cache::with_name(&text, &f.name)),
-                IncrementalMode::ZeroDirty,
-            );
-        }
-        let mode = if self.memos.contains_key(&f.name) {
-            IncrementalMode::Recomputed
-        } else {
-            IncrementalMode::Fresh
-        };
-        let computed = isolate(AssertUnwindSafe(|| {
-            optimize_unit(
-                f,
-                &self.opts,
-                weights.as_ref(),
-                &context,
-                scratch,
-                &OptimizeBudget::unlimited(),
-            )
-        }));
-        let outcome = computed.map(|entry| {
-            let output = cache::with_name(&entry.output_text, &f.name);
-            self.record_memo(&f.name, key, entry.output_text);
-            output
-        });
-        (outcome, mode)
+            .collect();
+        self.cache.refresh(&current);
+        units
     }
 
     /// Optimizes `units` as one batch. See the crate docs for the phase
@@ -626,26 +551,12 @@ impl BatchEngine {
     pub fn run(&mut self, units: Vec<BatchUnit>) -> BatchResult {
         let threads = resolve_jobs(self.opts.jobs);
 
-        // Resolve profiles to edge weights up front (sequentially, so a
-        // malformed profile degrades identically for every thread count).
-        // `None` means "run plain LCM": either the batch isn't speculative,
-        // or this unit has no resolvable profile to speculate on.
-        let weights: Vec<Option<EdgeWeights>> = units
+        // Resolve profiles up front (sequentially, so a malformed profile
+        // degrades identically for every thread count).
+        let (weights, contexts): (Vec<Option<EdgeWeights>>, Vec<String>) = units
             .iter()
-            .map(|u| {
-                if self.opts.placement == PreAlgorithm::Speculative {
-                    u.profile
-                        .as_ref()
-                        .and_then(|p| EdgeWeights::from_profile(&u.function, p).ok())
-                } else {
-                    None
-                }
-            })
-            .collect();
-        let contexts: Vec<String> = weights
-            .iter()
-            .map(|w| unit_context(self.opts.placement, w.as_ref()))
-            .collect();
+            .map(|u| resolve_placement(self.opts.placement, &u.function, u.profile.as_ref()))
+            .unzip();
 
         // Phase 1 — sequential planning in input order: verify inputs,
         // consult the cache, pick one leader per distinct new fingerprint.
@@ -667,9 +578,7 @@ impl BatchEngine {
             if let Some(entry) = self.cache.get(key, &text) {
                 let plan = UnitPlan::Hit {
                     key,
-                    output_text: entry.output_text.clone(),
-                    pipeline: entry.pipeline,
-                    transform: entry.transform,
+                    answer: success(entry, &unit.function.name, 0, 0),
                 };
                 self.cache.note_hit();
                 plans.push(plan);
@@ -767,11 +676,8 @@ impl BatchEngine {
                     (CacheDisposition::Uncached, UnitOutcome::Failed(e.clone()))
                 }
                 UnitPlan::Compute { key } => {
-                    let disposition = if key.is_some() {
-                        CacheDisposition::Computed
-                    } else {
-                        CacheDisposition::Uncached
-                    };
+                    let disposition =
+                        key.map_or(CacheDisposition::Uncached, |_| CacheDisposition::Computed);
                     match &computed[&i] {
                         Ok(entry) => {
                             totals.computed += 1;
@@ -782,15 +688,10 @@ impl BatchEngine {
                                 .as_ref()
                                 .and_then(|o| o.opt.spec)
                                 .unwrap_or_default();
-                            totals.validation_checks += entry.validation_checks;
-                            totals.inputs_sampled += entry.inputs_sampled;
-                            let success = UnitSuccess {
-                                output: cache::with_name(&entry.output_text, &name),
-                                pipeline: entry.pipeline,
-                                transform: entry.transform,
-                                validation_checks: entry.validation_checks,
-                                inputs_sampled: entry.inputs_sampled,
-                            };
+                            let (checks, inputs) = (entry.validation_checks, entry.inputs_sampled);
+                            totals.validation_checks += checks;
+                            totals.inputs_sampled += inputs;
+                            let success = success(entry, &name, checks, inputs);
                             if let Some(key) = key {
                                 self.cache.insert(*key, (**entry).clone());
                             }
@@ -802,22 +703,11 @@ impl BatchEngine {
                 UnitPlan::Replay { leader } => match &computed[leader] {
                     Ok(entry) => (
                         CacheDisposition::Hit,
-                        UnitOutcome::Ok(UnitSuccess {
-                            output: cache::with_name(&entry.output_text, &name),
-                            pipeline: entry.pipeline,
-                            transform: entry.transform,
-                            validation_checks: 0,
-                            inputs_sampled: 0,
-                        }),
+                        UnitOutcome::Ok(success(entry, &name, 0, 0)),
                     ),
                     Err(e) => (CacheDisposition::Hit, UnitOutcome::Failed(e.clone())),
                 },
-                UnitPlan::Hit {
-                    key,
-                    output_text,
-                    pipeline,
-                    transform,
-                } => {
+                UnitPlan::Hit { key, answer } => {
                     let checks = if self.opts.validate == ValidationLevel::Off {
                         Ok((0, 0))
                     } else {
@@ -830,11 +720,9 @@ impl BatchEngine {
                             (
                                 CacheDisposition::Hit,
                                 UnitOutcome::Ok(UnitSuccess {
-                                    output: cache::with_name(output_text, &name),
-                                    pipeline: *pipeline,
-                                    transform: *transform,
                                     validation_checks,
                                     inputs_sampled,
+                                    ..answer.clone()
                                 }),
                             )
                         }
@@ -862,6 +750,126 @@ impl BatchEngine {
             totals,
         }
     }
+}
+
+/// How [`answer_unit`] reaches the engine: borrowed outright (`watch`), or
+/// through the daemon's lock, held only to read the options and around
+/// the lookup, quarantine and fill.
+pub(crate) trait EngineAccess {
+    fn with<R>(&mut self, f: impl FnOnce(&mut BatchEngine) -> R) -> R;
+}
+
+impl EngineAccess for BatchEngine {
+    fn with<R>(&mut self, f: impl FnOnce(&mut BatchEngine) -> R) -> R {
+        f(self)
+    }
+}
+
+impl EngineAccess for &Mutex<BatchEngine> {
+    fn with<R>(&mut self, f: impl FnOnce(&mut BatchEngine) -> R) -> R {
+        f(&mut self.lock().expect("engine lock"))
+    }
+}
+
+/// The reuse ladder for one unit of `lcmopt watch` or the serve daemon:
+/// verify; consult the memo index unless `budget` carries a deadline or
+/// fuel cap; look up the cache, counting the hit or miss; re-validate a
+/// hit; compute with [`optimize_unit`]; fill the cache and the index. A
+/// hit failing re-validation is a [`FailureKind::PoisonedCache`] unit
+/// failure if this process computed it; a thin (disk-loaded) one is
+/// quarantined and the unit recomputes — disk corruption costs warmth,
+/// not availability. Only a compute moves the index here (the daemon's
+/// contract); `watch` also moves it on a validated hit. With the cache off
+/// nothing is reused. Returns the unit's cache key beside its answer.
+pub(crate) fn answer_unit(
+    engine: &mut impl EngineAccess,
+    f: &Function,
+    profile: Option<&Profile>,
+    scratch: &mut SolverScratch,
+    budget: &OptimizeBudget,
+) -> (Option<u128>, CacheDisposition, UnitOutcome) {
+    if let Err(e) = verify(f) {
+        let err = UnitError {
+            kind: FailureKind::InvalidInput,
+            message: e.to_string(),
+        };
+        return (None, CacheDisposition::Uncached, UnitOutcome::Failed(err));
+    }
+    let opts = engine.with(|e| e.opts);
+    let memo = !budget.is_capped();
+    let (weights, context) = resolve_placement(opts.placement, f, profile);
+    let key = opts
+        .use_cache
+        .then(|| fingerprint_with_context(f, &context));
+    if let Some((k, text)) = &key {
+        match engine.with(|e| e.lookup(&f.name, *k, text, memo)) {
+            Lookup::Memo(s) => return (Some(*k), CacheDisposition::ZeroDirty, UnitOutcome::Ok(s)),
+            Lookup::Hit(entry) => {
+                match isolate(AssertUnwindSafe(|| revalidate_entry(&entry, opts.seed))) {
+                    Ok((checks, inputs)) => {
+                        let s = success(&entry, &f.name, checks, inputs);
+                        return (Some(*k), CacheDisposition::Hit, UnitOutcome::Ok(s));
+                    }
+                    Err(_) if entry.origin.is_none() => engine.with(|e| e.quarantine(*k)),
+                    Err(e) => return (Some(*k), CacheDisposition::Hit, UnitOutcome::Failed(e)),
+                }
+            }
+            Lookup::Miss => {}
+        }
+    }
+    let disposition = key
+        .as_ref()
+        .map_or(CacheDisposition::Uncached, |_| CacheDisposition::Computed);
+    let computed = isolate(AssertUnwindSafe(|| {
+        optimize_unit(f, &opts, weights.as_ref(), &context, scratch, budget)
+    }));
+    let key = key.map(|(k, _)| k);
+    match computed {
+        Ok(entry) => {
+            let (checks, inputs) = (entry.validation_checks, entry.inputs_sampled);
+            let s = success(&entry, &f.name, checks, inputs);
+            if let Some(k) = key {
+                engine.with(|e| e.fill(&f.name, k, entry, memo));
+            }
+            (key, disposition, UnitOutcome::Ok(s))
+        }
+        Err(e) => (key, disposition, UnitOutcome::Failed(e)),
+    }
+}
+
+/// A unit answered from `entry` under its own `name`, with the validator
+/// counters this answer cost.
+fn success(
+    entry: &CacheEntry,
+    name: &str,
+    validation_checks: usize,
+    inputs_sampled: usize,
+) -> UnitSuccess {
+    UnitSuccess {
+        output: cache::with_name(&entry.output_text, name),
+        pipeline: entry.pipeline,
+        transform: entry.transform,
+        validation_checks,
+        inputs_sampled,
+    }
+}
+
+/// Resolves a unit's edge weights and the placement context it is
+/// fingerprinted (and cached) under — the one place every surface does
+/// this, so a daemon or watch answer is the batch answer. The weights are
+/// `None` ("run plain LCM") unless the placement is speculative and the
+/// profile resolves against `f`.
+fn resolve_placement(
+    placement: PreAlgorithm,
+    f: &Function,
+    profile: Option<&Profile>,
+) -> (Option<EdgeWeights>, String) {
+    let weights = match placement {
+        PreAlgorithm::Speculative => profile.and_then(|p| EdgeWeights::from_profile(f, p).ok()),
+        _ => None,
+    };
+    let context = unit_context(placement, weights.as_ref());
+    (weights, context)
 }
 
 /// Resolves `jobs == 0` to the machine's available parallelism.

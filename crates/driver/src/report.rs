@@ -8,15 +8,20 @@
 
 use std::fmt::Write as _;
 
-use crate::{BatchResult, IncrementalUnit, UnitOutcome};
+use crate::{BatchResult, UnitOutcome, UnitReport};
 
 /// The optimized module text: each successful unit's printed function in
 /// input order, failures as `#`-comment lines, separated by blank lines.
 /// The result is a valid module again whenever every unit succeeded (and
 /// no two units share a name).
-pub fn render_text(result: &BatchResult) -> String {
+///
+/// Takes a [`BatchResult`] or the unit reports of
+/// [`BatchEngine::run_module_incremental`](crate::BatchEngine::run_module_incremental),
+/// so `lcmopt watch` output diffs cleanly against a one-shot
+/// `lcmopt batch` on the same module.
+pub fn render_text(units: &(impl AsRef<[UnitReport]> + ?Sized)) -> String {
     let mut out = String::new();
-    for (i, unit) in result.units.iter().enumerate() {
+    for (i, unit) in units.as_ref().iter().enumerate() {
         if i > 0 {
             out.push_str("\n\n");
         }
@@ -37,31 +42,10 @@ pub fn render_text(result: &BatchResult) -> String {
     out
 }
 
-/// [`render_text`] for the incremental runner's outcomes
-/// ([`BatchEngine::run_module_incremental`](crate::BatchEngine::run_module_incremental)):
-/// the same shape byte for byte, so `lcmopt watch` output diffs cleanly
-/// against a one-shot `lcmopt batch` on the same module.
-pub fn render_incremental_text(units: &[IncrementalUnit]) -> String {
-    let mut out = String::new();
-    for (i, unit) in units.iter().enumerate() {
-        if i > 0 {
-            out.push_str("\n\n");
-        }
-        match &unit.outcome {
-            Ok(s) => out.push_str(s),
-            Err(e) => {
-                let _ = write!(
-                    out,
-                    "# fn {}: FAILED ({}): {}",
-                    unit.name,
-                    e.kind.name(),
-                    one_line(&e.message)
-                );
-            }
-        }
+impl AsRef<[UnitReport]> for BatchResult {
+    fn as_ref(&self) -> &[UnitReport] {
+        &self.units
     }
-    out.push('\n');
-    out
 }
 
 /// The aggregate tables: batch counts, the merged solver statistics (same

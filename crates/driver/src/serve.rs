@@ -3,9 +3,14 @@
 //! A [`Daemon`] owns a pool of persistent worker threads, each keeping one
 //! warm [`SolverScratch`] arena across requests (the whole point of
 //! serving: the 2-allocation same-shape solve floor only pays off if the
-//! process outlives a CLI invocation), a shared [`BatchEngine`]'s output
-//! memo and plan cache — the cache optionally backed by an `lcm-cache-v1`
-//! file (see [`crate::persist`]) — and a bounded admission queue.
+//! process outlives a CLI invocation), a shared [`BatchEngine`] — its plan
+//! cache optionally backed by an `lcm-cache-v1` file (see
+//! [`crate::persist`]) — and a bounded admission queue. Every unit is
+//! answered by the engine's reuse ladder (`answer_unit`, the one
+//! `lcmopt watch` runs too): zero-dirty memo index, re-validated cache
+//! hit, per-entry quarantine of a persisted entry that fails
+//! re-validation, compute and fill. The engine lock is held only to read
+//! the options and around the lookup, quarantine and fill.
 //!
 //! The robustness contract, each clause pinned by tests:
 //!
@@ -43,17 +48,17 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use lcm_core::{EdgeWeights, OptimizeBudget, PreAlgorithm};
+use lcm_core::OptimizeBudget;
 use lcm_dataflow::SolverScratch;
-use lcm_ir::{verify, Function};
+use lcm_ir::{Function, Profile};
 
 use crate::protocol::{
     self, decode_request, read_frame, write_response, FrameError, Request, Response, ERR_BAD_FRAME,
     ERR_DRAINING, ERR_PARSE, ERR_TOO_LARGE,
 };
 use crate::{
-    cache, fingerprint_with_context, isolate, optimize_unit, resolve_jobs, unit_context,
-    BatchEngine, BatchOptions, CacheEntry, FailureKind, LoadStatus, UnitError,
+    answer_unit, resolve_jobs, BatchEngine, BatchOptions, FailureKind, LoadStatus, UnitError,
+    UnitOutcome,
 };
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -101,10 +106,8 @@ pub enum ConnectionEnd {
 /// One admitted unit of work.
 struct UnitJob {
     index: u32,
-    name: String,
     function: Function,
-    weights: Option<EdgeWeights>,
-    context: String,
+    profile: Option<Profile>,
     deadline: Option<Instant>,
     fuel: u64,
     cancel: Arc<AtomicBool>,
@@ -184,8 +187,8 @@ impl Core {
         out.push_str(&format!("cache: {s}, {} entries\n", engine.cache().len()));
         // The `incremental:` and `edit classes:` lines keep the field names
         // load generators parse: `hits` counts delta-solved units, which
-        // no longer exist, and every recompute of a memoized function is
-        // a `fallback`.
+        // no longer exist, `memos` counts memo index entries, and every
+        // recompute of an indexed function is a `fallback`.
         let memo = engine.memo_stats();
         out.push_str(&format!(
             "incremental: 0 hits, {} memos retained\n",
@@ -359,7 +362,7 @@ fn worker_loop(core: &Arc<Core>) {
         // backstop only exists so a panic in the *loop* machinery can
         // never kill a worker silently. Tests pin it to 0.
         let index = job.index;
-        let name = job.name.clone();
+        let name = job.function.name.clone();
         let tx = job.tx.clone();
         let outcome = catch_unwind(AssertUnwindSafe(|| process_job(core, &mut scratch, job)));
         let response = outcome.unwrap_or_else(|_| {
@@ -379,30 +382,20 @@ fn worker_loop(core: &Arc<Core>) {
     }
 }
 
-/// Optimizes one unit: budget check, memo replay, cache lookup (with
-/// re-validation), compute on miss, memo and cache fill.
+/// Answers one unit through the engine's reuse ladder
+/// ([`crate::answer_unit`]) under the request's cancel flag and
+/// deadline/fuel budget.
 fn process_job(core: &Arc<Core>, scratch: &mut SolverScratch, job: UnitJob) -> Response {
     if job.cancel.load(Ordering::Relaxed) {
         return unit_err_response(
             job.index,
-            &job.name,
+            &job.function.name,
             &UnitError {
                 kind: FailureKind::Cancelled,
                 message: "request abandoned before the unit started".into(),
             },
         );
     }
-    if let Err(e) = verify(&job.function) {
-        return unit_err_response(
-            job.index,
-            &job.name,
-            &UnitError {
-                kind: FailureKind::InvalidInput,
-                message: e.to_string(),
-            },
-        );
-    }
-
     let mut budget = OptimizeBudget::unlimited().with_cancel_flag(Arc::clone(&job.cancel));
     if let Some(deadline) = job.deadline {
         budget = budget.with_deadline(deadline);
@@ -410,95 +403,19 @@ fn process_job(core: &Arc<Core>, scratch: &mut SolverScratch, job: UnitJob) -> R
     if job.fuel > 0 {
         budget = budget.with_fuel(job.fuel);
     }
-
-    let opts = core.opts.batch;
-    // Budgeted units skip the memo: their answer may be a cancellation,
-    // and a budget is a request to run the pipeline under it.
-    let memo = job.deadline.is_none() && job.fuel == 0;
-    let fp =
-        (memo || opts.use_cache).then(|| fingerprint_with_context(&job.function, &job.context));
-    let memo_key = fp.as_ref().filter(|_| memo).map(|(key, _)| *key);
-
-    // The zero-dirty memo, checked *before* the plan cache: the memo was
-    // produced in this very process, so a hit skips even re-validation.
-    if let Some(key) = memo_key {
-        let mut engine = core.engine.lock().expect("engine lock");
-        if let Some(text) = engine.replay_memo(&job.name, key) {
-            return Response::UnitOk {
-                index: job.index,
-                output: cache::with_name(&text, &job.name),
-            };
-        }
-    }
-
-    let cached: Option<(u128, Option<CacheEntry>)> = match &fp {
-        Some((key, text)) if opts.use_cache => {
-            let mut engine = core.engine.lock().expect("engine lock");
-            let entry = engine.cache().get(*key, text).cloned();
-            if entry.is_some() {
-                engine.cache_mut().note_hit();
-            } else {
-                engine.cache_mut().note_miss();
-            }
-            Some((*key, entry))
-        }
-        _ => None,
-    };
-
-    if let Some((key, Some(entry))) = &cached {
-        let is_thin = entry.origin.is_none();
-        match isolate(AssertUnwindSafe(|| {
-            crate::revalidate_entry(entry, opts.seed)
-        })) {
-            Ok(_) => {
-                return Response::UnitOk {
-                    index: job.index,
-                    output: cache::with_name(&entry.output_text, &job.name),
-                };
-            }
-            Err(_) if is_thin => {
-                // A persisted entry that fails re-validation is quarantined
-                // (evicted + counted) and the unit recomputed from scratch:
-                // disk corruption must cost warmth, not correctness — and
-                // not availability either.
-                let mut engine = core.engine.lock().expect("engine lock");
-                engine.cache_mut().remove(*key);
-                engine.note_entry_quarantine();
-            }
-            Err(e) => {
-                // An entry poisoned *in this process* is a real fault; the
-                // batch engine reports it the same way.
-                return unit_err_response(job.index, &job.name, &e);
-            }
-        }
-    }
-
-    let computed = isolate(AssertUnwindSafe(|| {
-        optimize_unit(
-            &job.function,
-            &opts,
-            job.weights.as_ref(),
-            &job.context,
-            scratch,
-            &budget,
-        )
-    }));
-    match computed {
-        Ok(entry) => {
-            let output = cache::with_name(&entry.output_text, &job.name);
-            let mut engine = core.engine.lock().expect("engine lock");
-            if let Some(key) = memo_key {
-                engine.record_memo(&job.name, key, entry.output_text.clone());
-            }
-            if let Some((key, _)) = cached {
-                engine.cache_mut().insert(key, entry);
-            }
-            Response::UnitOk {
-                index: job.index,
-                output,
-            }
-        }
-        Err(e) => unit_err_response(job.index, &job.name, &e),
+    let (_, _, outcome) = answer_unit(
+        &mut &core.engine,
+        &job.function,
+        job.profile.as_ref(),
+        scratch,
+        &budget,
+    );
+    match outcome {
+        UnitOutcome::Ok(s) => Response::UnitOk {
+            index: job.index,
+            output: s.output,
+        },
+        UnitOutcome::Failed(e) => unit_err_response(job.index, &job.function.name, &e),
     }
 }
 
@@ -621,23 +538,7 @@ fn handle_optimize(
             );
         }
     };
-    let functions: Vec<Function> = parsed.iter().cloned().collect();
-    let n = functions.len();
-
-    // Resolve profiles exactly as the batch engine does, so a daemon
-    // answer is the batch answer.
-    let weights: Vec<Option<EdgeWeights>> = functions
-        .iter()
-        .map(|f| {
-            if core.opts.batch.placement == PreAlgorithm::Speculative {
-                parsed
-                    .profile(&f.name)
-                    .and_then(|p| EdgeWeights::from_profile(f, p).ok())
-            } else {
-                None
-            }
-        })
-        .collect();
+    let n = parsed.len();
 
     // Admission: all units or none.
     let (tx, rx) = mpsc::channel::<Response>();
@@ -658,14 +559,11 @@ fn handle_optimize(
             );
         }
         q.outstanding += n;
-        for (i, f) in functions.into_iter().enumerate() {
-            let context = unit_context(core.opts.batch.placement, weights[i].as_ref());
+        for (i, f) in parsed.iter().enumerate() {
             q.jobs.push_back(UnitJob {
                 index: i as u32,
-                name: f.name.clone(),
-                function: f,
-                weights: weights[i].clone(),
-                context,
+                function: f.clone(),
+                profile: parsed.profile(&f.name).cloned(),
                 deadline,
                 fuel,
                 cancel: Arc::clone(&cancel),

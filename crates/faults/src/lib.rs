@@ -488,20 +488,33 @@ pub fn optimize_with_dropped_store_kill(
     }))
 }
 
-/// Corrupts a retained zero-dirty output memo in place — seeded garbage
-/// over the memoized output text and, when `stale_key`, a flipped
-/// fingerprint key, modelling a memo that outlived the revision it was
-/// minted for. The driver's defense is *keying*, not re-validation: a memo
-/// is replayed only when the function's content fingerprint and options
-/// tag both match exactly, so a dirty function can never meet the garbage
-/// (its fingerprint differs) and a stale key can never be served (nothing
-/// fingerprints to it). The faults suite pins both halves.
-pub fn poison_output_memo(memo: &mut lcm_driver::OutputMemo, seed: u64, stale_key: bool) {
+/// Corrupts `name`'s zero-dirty memo index in `engine`: seeded garbage
+/// over the output text of the cache entry it names or, when `stale_key`,
+/// a flipped index key, modelling an index that outlived its revision.
+/// The driver's defense is *keying*, not re-validation: a dirty function
+/// can never meet the garbage (its fingerprint differs) and a stale key
+/// can never be replayed (nothing fingerprints to it). Returns whether the
+/// fault landed: `name` is indexed and, for the garbage, its entry live.
+pub fn poison_output_memo(
+    engine: &mut lcm_driver::BatchEngine,
+    name: &str,
+    seed: u64,
+    stale_key: bool,
+) -> bool {
     let mut state = seed ^ 0x5EED_FA17_u64;
-    memo.output_text = format!("; poisoned memo {:016x}\n", splitmix64(&mut state));
+    let Some(key) = engine.memo_mut(name) else {
+        return false;
+    };
     if stale_key {
-        memo.key ^= 1 | (u128::from(splitmix64(&mut state)) << 64);
+        *key ^= 1 | (u128::from(splitmix64(&mut state)) << 64);
+        return true;
     }
+    let key = *key;
+    let Some(entry) = engine.cache_mut().entry_mut(key) else {
+        return false;
+    };
+    entry.output_text = format!("; poisoned memo {:016x}\n", splitmix64(&mut state));
+    true
 }
 
 /// Corrupts one weight of an edge profile in place — modelling bit-rot or
@@ -851,47 +864,67 @@ mod tests {
 
     #[test]
     fn stale_output_memo_is_never_replayed() {
-        use lcm_driver::{BatchEngine, BatchOptions, IncrementalMode};
+        use lcm_driver::{report, BatchEngine, BatchOptions, CacheDisposition};
         use lcm_ir::parse_module;
 
         let edited = DIAMOND.replace("y = a + b", "y = a + b\n          a = 1");
         let m0 = parse_module(DIAMOND).unwrap();
         let m1 = parse_module(&edited).unwrap();
-        let want = {
-            let mut fresh = BatchEngine::new(BatchOptions::default());
-            fresh.run_module_incremental(&m1)[0]
-                .outcome
-                .clone()
-                .unwrap()
-        };
+        let answer =
+            |m| report::render_text(&BatchEngine::new(BatchOptions::default()).run_module(m));
 
-        // A dirty function with a poisoned memo (key intact): the edit
-        // changes the fingerprint, so the memo is bypassed, the unit
-        // recomputes, and the garbage text never surfaces.
+        // A dirty function whose indexed entry carries garbage output (key
+        // intact): the edit changes the fingerprint, so the index is
+        // bypassed, the unit computes, and the garbage never surfaces.
         let mut engine = BatchEngine::new(BatchOptions::default());
         engine.run_module_incremental(&m0);
-        poison_output_memo(engine.memo_mut("d").unwrap(), 3, false);
+        assert!(poison_output_memo(&mut engine, "d", 3, false));
         let units = engine.run_module_incremental(&m1);
-        assert_eq!(units[0].mode, IncrementalMode::Recomputed);
-        assert_eq!(units[0].outcome.clone().unwrap(), want);
+        assert_eq!(units[0].cache, CacheDisposition::Computed);
+        assert_eq!(report::render_text(&units), answer(&m1));
 
-        // An *identical* revision against a memo whose key rotted: nothing
-        // fingerprints to the stale key, so the memo is bypassed and the
-        // unit recomputes (and re-memoizes) the honest answer.
+        // An *identical* revision against an index whose key rotted: it is
+        // never replayed; the live entry answers as a re-validated hit,
+        // which heals the index, so the next identical revision replays.
         let mut engine = BatchEngine::new(BatchOptions::default());
-        let first = engine.run_module_incremental(&m0)[0]
-            .outcome
-            .clone()
-            .unwrap();
-        poison_output_memo(engine.memo_mut("d").unwrap(), 4, true);
+        engine.run_module_incremental(&m0);
+        assert!(poison_output_memo(&mut engine, "d", 4, true));
         let units = engine.run_module_incremental(&m0);
-        assert_eq!(units[0].mode, IncrementalMode::Recomputed);
-        assert_eq!(units[0].outcome.clone().unwrap(), first);
-        // ... after which the honest memo is back: the next identical
-        // revision replays it.
+        assert_eq!(units[0].cache, CacheDisposition::Hit);
+        assert_eq!(report::render_text(&units), answer(&m0));
+        assert_eq!(engine.memo_stats().hits, 0);
         let units = engine.run_module_incremental(&m0);
-        assert_eq!(units[0].mode, IncrementalMode::ZeroDirty);
-        assert_eq!(units[0].outcome.clone().unwrap(), first);
+        assert_eq!(units[0].cache, CacheDisposition::ZeroDirty);
+        assert_eq!(report::render_text(&units), answer(&m0));
+        assert_eq!(engine.memo_stats().hits, 1);
+
+        // A function dropped from the watched module is no longer kept
+        // young: three edits of `e` age `d`'s entry out of a one-entry
+        // cache (grown to four by the two-function revision) while its
+        // index still names it. Poisoning lands nowhere, and when `d`
+        // comes back it recomputes the honest answer.
+        let e = |i: usize| {
+            let e = DIAMOND.replace("fn d", "fn e").replace("a + b", "a * b");
+            e.replace(
+                "obs y",
+                &format!("obs y\n          t = y + {i}\n          obs t"),
+            )
+        };
+        let mut engine = BatchEngine::new(BatchOptions {
+            cache_capacity: 1,
+            ..BatchOptions::default()
+        });
+        engine.run_module_incremental(&parse_module(&format!("{DIAMOND}\n\n{}", e(0))).unwrap());
+        for i in 1..4 {
+            engine.run_module_incremental(&parse_module(&e(i)).unwrap());
+        }
+        assert!(!poison_output_memo(&mut engine, "d", 5, false));
+        let m2 = parse_module(&format!("{DIAMOND}\n\n{}", e(3))).unwrap();
+        let units = engine.run_module_incremental(&m2);
+        assert_eq!(units[0].cache, CacheDisposition::Computed);
+        assert_eq!(units[1].cache, CacheDisposition::ZeroDirty);
+        assert_eq!(report::render_text(&units), answer(&m2));
+        assert_eq!(engine.memo_stats().recomputes, 4);
     }
 
     #[test]

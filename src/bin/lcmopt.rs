@@ -20,8 +20,8 @@
 //! cache, admission control); `request` is its client. See
 //! `lcmopt serve --help` and `lcmopt request --help`. The `watch`
 //! subcommand re-optimizes a module file whenever it changes on disk,
-//! replaying the memoized output of every function the save left
-//! untouched; see `lcmopt watch --help`.
+//! replaying every function the save left untouched from the plan cache;
+//! see `lcmopt watch --help`.
 //!
 //! OPTIONS:
 //!   -p, --passes LIST    comma-separated pass pipeline (default:
@@ -235,25 +235,25 @@ fn parse_placement(v: &str) -> Result<PreAlgorithm, String> {
 }
 
 /// The engine flags `batch`, `serve` and `watch` share: `--placement`,
-/// `--validate[=L]` and, where the subcommand keeps a plan cache,
-/// `--cache` and `--cache-cap`.
+/// `--validate[=L]` and, where the subcommand lets the plan cache be
+/// configured, `--cache` and `--cache-cap`.
 struct EngineFlags {
     placement: PreAlgorithm,
     validate: ValidationLevel,
-    /// Whether the subcommand keeps a plan cache at all (and so takes the
-    /// cache flags).
-    keeps_cache: bool,
+    /// Whether the subcommand takes the cache flags; without them the
+    /// plan cache is on.
+    cache_flags: bool,
     cache: bool,
     cache_capacity: usize,
 }
 
 impl EngineFlags {
-    fn new(keeps_cache: bool) -> Self {
+    fn new(cache_flags: bool) -> Self {
         EngineFlags {
             placement: PreAlgorithm::LazyEdge,
             validate: ValidationLevel::Fast,
-            keeps_cache,
-            cache: keeps_cache,
+            cache_flags,
+            cache: true,
             cache_capacity: 4096,
         }
     }
@@ -272,14 +272,14 @@ impl EngineFlags {
                 self.placement = parse_placement(&value("--placement needs lcm|bcm|spec")?)?;
             }
             "--validate" => self.validate = ValidationLevel::Fast,
-            "--cache" if self.keeps_cache => {
+            "--cache" if self.cache_flags => {
                 self.cache = match value("--cache needs on|off")?.as_str() {
                     "on" => true,
                     "off" => false,
                     other => return Err(format!("bad cache mode `{other}`")),
                 };
             }
-            "--cache-cap" if self.keeps_cache => {
+            "--cache-cap" if self.cache_flags => {
                 let n = value("--cache-cap needs an argument")?;
                 self.cache_capacity = n.parse().map_err(|_| format!("bad cache capacity `{n}`"))?;
             }
@@ -585,9 +585,14 @@ fn serve_usage() -> &'static str {
      until a client sends SHUTDOWN; without it, one connection on \
      stdin/stdout until EOF. Either way it drains in-flight units, flushes \
      the cache durably, and exits 0.\n\
+     A function resent unchanged since its last compute is replayed from \
+     the cache (zero-dirty); any other cached revision is re-validated \
+     before it is served. --cache off turns off all reuse, the zero-dirty \
+     replay included.\n\
      --cache-file persists the plan cache (lcm-cache-v1; corrupt files are \
-     quarantined to a .corrupt sidecar and the daemon starts cold). The \
-     file is rewritten atomically after every request.\n\
+     quarantined to a .corrupt sidecar and the daemon starts cold; a \
+     persisted entry that fails re-validation is dropped and recomputed). \
+     The file is rewritten atomically after every request.\n\
      --workers 0 (the default) uses all available cores. --queue-cap \
      bounds admitted-but-unfinished units (0 = unbounded); requests beyond \
      it are shed with OVERLOADED and the --retry-after-ms hint."
@@ -921,13 +926,15 @@ fn watch_usage() -> &'static str {
      PATH] [--placement lcm|bcm|spec] [--validate[=off|fast|full]] \
      <FILE>\n\
      Optimizes the module in FILE, then polls it and re-optimizes on every \
-     change. Each function's optimized output is memoized by content \
-     fingerprint, so a function the save left untouched is replayed \
-     (zero-dirty) and only edited functions are recomputed. Output is \
-     byte-identical to `lcmopt batch` on the same revision.\n\
+     change through the plan cache: a function untouched since its last \
+     compute or hit is replayed (zero-dirty), an earlier revision (an \
+     undo) is a re-validated hit, and only new revisions are computed. \
+     The cache holds two entries per function, current revisions kept \
+     youngest. Output is byte-identical to `lcmopt batch` on the same \
+     revision.\n\
      The optimized module goes to stdout after every run, or to PATH with \
-     --output (rewritten in place). Per-iteration stats — fresh, \
-     recomputed or zero-dirty per function — go to stderr.\n\
+     --output (rewritten in place). Per-iteration stats — computed, hit or \
+     zero-dirty per function — go to stderr.\n\
      --iterations N exits after N re-optimizations beyond the initial one \
      (0, the default, watches until interrupted); a transiently unreadable \
      or unparseable save is reported and skipped, not fatal.\n\
@@ -943,7 +950,7 @@ fn parse_watch_args(mut args: impl Iterator<Item = String>) -> Result<Option<Wat
         interval_ms: 50,
         iterations: 0,
         output: None,
-        // Watch reuses work through the output memo alone.
+        // Watch takes no cache flags: `run_watch` sizes its cache.
         engine: EngineFlags::new(false),
     };
     let usage_err = |msg: String| Failure::new(EXIT_USAGE, format!("{msg}\n{}", watch_usage()));
@@ -991,7 +998,7 @@ fn parse_watch_args(mut args: impl Iterator<Item = String>) -> Result<Option<Wat
 }
 
 /// One watched re-optimization: runs the module through the engine's
-/// output memo, emits per-function stats on stderr and the optimized
+/// reuse ladder, emits per-function stats on stderr and the optimized
 /// module on stdout (or into `--output`). Returns how many units failed.
 fn watch_once(
     engine: &mut BatchEngine,
@@ -1006,9 +1013,9 @@ fn watch_once(
         eprintln!(
             "lcmopt watch[{iteration}]: fn {}: {}",
             u.name,
-            u.mode.name()
+            u.cache.name()
         );
-        if let Err(e) = &u.outcome {
+        if let UnitOutcome::Failed(e) = &u.outcome {
             failed += 1;
             eprintln!(
                 "lcmopt watch[{iteration}]: fn {}: FAILED ({}): {}",
@@ -1027,7 +1034,7 @@ fn watch_once(
         memo.recomputes,
         start.elapsed()
     );
-    let text = batch_report::render_incremental_text(&units);
+    let text = batch_report::render_text(&units);
     match output {
         Some(path) => std::fs::write(path, &text)
             .map_err(|e| Failure::new(EXIT_USAGE, format!("writing {path}: {e}")))?,
@@ -1037,7 +1044,6 @@ fn watch_once(
 }
 
 fn run_watch(cli: WatchCli) -> Result<(), Failure> {
-    let mut engine = BatchEngine::new(cli.engine.batch_options(1));
     // The initial revision must load: a watch on a missing or broken file
     // is a usage/parse error, not an empty vigil.
     let mut last = std::fs::read(&cli.file)
@@ -1057,6 +1063,12 @@ fn run_watch(cli: WatchCli) -> Result<(), Failure> {
         })
     };
     let module = parse(last.clone(), &cli.file)?;
+    // The smallest bounded cache: the engine grows it to fit the watched
+    // module, so memory follows the module, not the session's length.
+    let mut engine = BatchEngine::new(BatchOptions {
+        cache_capacity: 1,
+        ..cli.engine.batch_options(1)
+    });
     let mut failed = watch_once(&mut engine, &module, 0, &cli.output)?;
     let mut done = 0u64;
     while cli.iterations == 0 || done < cli.iterations {

@@ -1,17 +1,20 @@
-//! The output-memo proof: across a seeded edit corpus (content edits and
+//! The memo-index proof: across a seeded edit corpus (content edits and
 //! shape edits, hundreds of revisions), [`BatchEngine::run_module_incremental`]
 //! answers every revision byte-identically to a one-shot batch of the same
-//! revision, replays every function the revision left unchanged from the
-//! zero-dirty memo, and recomputes exactly the edited one.
+//! revision, replays every function the revision left unchanged through
+//! the zero-dirty memo index, and computes exactly the edited one.
 //!
 //! The memo is sound by keying alone: a function replays only when its
-//! content fingerprint and the engine's options tag both match the
-//! revision the memo was recorded for, so no edit — whatever it does to
-//! the CFG or the expression universe — can meet a stale answer.
+//! content fingerprint matches the revision its name last computed and
+//! that revision's entry is still in the plan cache, so no edit —
+//! whatever it does to the CFG or the expression universe — can meet a
+//! stale answer.
+
+use std::collections::{HashMap, HashSet};
 
 use lcm::cfggen::{mutate_function, seeded, structured, GenOptions, MutationKind};
 use lcm::driver::{
-    canonical_text, report, BatchEngine, BatchOptions, IncrementalMode, IncrementalUnit, MemoStats,
+    canonical_text, report, BatchEngine, BatchOptions, CacheDisposition, MemoStats, UnitReport,
 };
 use lcm::ir::{parse_module, Function, Module};
 
@@ -35,11 +38,13 @@ fn module_of(fns: &[Function]) -> Module {
 /// Modules of four evolving functions, 24 revisions each over 10 seeds:
 /// every revision edits one function with a seeded `mutate_function` step
 /// (20% shape edits). Every revision's output is byte-identical to a
-/// one-shot batch, every untouched function replays its memo, and the
-/// edited function recomputes unless the edit left its fingerprint
-/// unchanged.
+/// one-shot batch, every function whose name last answered this exact
+/// revision replays it (untouched functions, and edits that left the
+/// fingerprint unchanged), a revision computed earlier under any name is
+/// a cache hit that moves the name's index, and everything else computes.
 #[test]
 fn edit_corpus_is_bit_identical_to_fresh_solves() {
+    use CacheDisposition::{Computed, Hit, ZeroDirty};
     const FNS: usize = 4;
     let mut revisions = 0usize;
     let mut content_steps = 0usize;
@@ -55,14 +60,19 @@ fn edit_corpus_is_bit_identical_to_fresh_solves() {
             .collect();
         let mut watch = BatchEngine::new(BatchOptions::default());
         let first = watch.run_module_incremental(&module_of(&fns));
-        assert!(first.iter().all(|u| u.mode == IncrementalMode::Fresh));
+        assert!(first.iter().all(|u| u.cache == Computed));
+        // The model of the engine's reuse ladder: each name's last computed
+        // or hit text, and every text computed so far.
+        let mut index: HashMap<String, String> = fns
+            .iter()
+            .map(|f| (f.name.clone(), canonical_text(f)))
+            .collect();
+        let mut computed: HashSet<String> = index.values().cloned().collect();
         let mut expect = MemoStats::default();
         let mut rng = seeded(seed ^ 0xED17_C0DE);
         for step in 0..24 {
             let edited = step % FNS;
-            let before = canonical_text(&fns[edited]);
             let kind = mutate_function(&mut fns[edited], &mut rng, 0.2);
-            let changed = canonical_text(&fns[edited]) != before;
             let tag = format!("seed {seed} step {step} ({kind:?})");
             match kind {
                 MutationKind::Content => content_steps += 1,
@@ -72,19 +82,25 @@ fn edit_corpus_is_bit_identical_to_fresh_solves() {
             let m = module_of(&fns);
             let units = watch.run_module_incremental(&m);
             assert_eq!(
-                report::render_incremental_text(&units),
+                report::render_text(&units),
                 one_shot(&m),
                 "output diverged from the one-shot batch: {tag}"
             );
-            for (i, u) in units.iter().enumerate() {
-                let want = if i == edited && changed {
-                    expect.recomputes += 1;
-                    IncrementalMode::Recomputed
-                } else {
+            for (f, u) in fns.iter().zip(&units) {
+                let text = canonical_text(f);
+                let want = if index[&f.name] == text {
                     expect.hits += 1;
-                    IncrementalMode::ZeroDirty
+                    ZeroDirty
+                } else if computed.contains(&text) {
+                    index.insert(f.name.clone(), text);
+                    Hit
+                } else {
+                    expect.recomputes += 1;
+                    computed.insert(text.clone());
+                    index.insert(f.name.clone(), text);
+                    Computed
                 };
-                assert_eq!(u.mode, want, "fn {}: {tag}", u.name);
+                assert_eq!(u.cache, want, "fn {}: {tag}", u.name);
             }
             assert_eq!(watch.memo_stats(), expect, "{tag}");
             revisions += 1;
@@ -126,22 +142,30 @@ fn module(g: &str) -> Module {
     parse_module(&format!("{g}\n\n{SIBLING}")).expect("revision parses")
 }
 
-fn modes(units: &[IncrementalUnit]) -> Vec<IncrementalMode> {
-    units.iter().map(|u| u.mode).collect()
+fn modes(units: &[UnitReport]) -> Vec<CacheDisposition> {
+    units.iter().map(|u| u.cache).collect()
 }
 
 /// One directed revision pair: the edited function recomputes
 /// byte-identically to a one-shot batch, its sibling replays, and a
 /// repeat of the revision replays both.
 fn assert_memo_pair(before: &str, after: &str, tag: &str) {
-    use IncrementalMode::{Recomputed, ZeroDirty};
+    use CacheDisposition::{Computed, ZeroDirty};
     let mut watch = BatchEngine::new(BatchOptions::default());
     watch.run_module_incremental(&module(before));
     let m = module(after);
     let units = watch.run_module_incremental(&m);
-    assert_eq!(modes(&units), [Recomputed, ZeroDirty], "{tag}");
+    assert_eq!(modes(&units), [Computed, ZeroDirty], "{tag}");
     assert_eq!(
-        report::render_incremental_text(&units),
+        watch.memo_stats(),
+        MemoStats {
+            hits: 1,
+            recomputes: 1
+        },
+        "{tag}"
+    );
+    assert_eq!(
+        report::render_text(&units),
         one_shot(&m),
         "{tag}: diverged from the one-shot batch"
     );

@@ -1,14 +1,17 @@
 //! Determinism and robustness-pillar tests for the `lcmopt serve` daemon:
 //! daemon answers are byte-identical to `lcmopt batch` answers — cold,
-//! warm from a persisted cache, and after a quarantine — and the watchdog
-//! and admission-control pillars produce their typed responses without
-//! costing the connection.
+//! warm from a persisted cache, and after a whole-file or a per-entry
+//! quarantine — and the watchdog and admission-control pillars produce
+//! their typed responses without costing the connection.
 
 use std::path::PathBuf;
 
 use lcm::driver::protocol::{read_response, write_request, Request, Response};
 use lcm::driver::serve::{ConnectionEnd, Daemon, ServeOptions};
-use lcm::driver::{report, BatchEngine, BatchOptions, LoadStatus};
+use lcm::driver::{
+    fingerprint, load_cache, report, save_cache, BatchEngine, BatchOptions, LifetimeCounters,
+    LoadStatus,
+};
 use lcm::ir::parse_module;
 
 const MODULE: &str = "fn d {
@@ -206,6 +209,56 @@ fn corrupt_cache_file_is_quarantined_and_answers_are_unchanged() {
     d.shutdown().unwrap();
     // The recomputed cache replaced the quarantined file.
     assert!(cache_file.exists());
+}
+
+/// A checksum-valid cache file whose one entry is parseable but diverges
+/// from its input: the daemon quarantines that entry alone, recomputes
+/// the unit, answers exactly like a cold batch, counts the quarantine in
+/// its lifetime totals, and flushes the honest entry back to the file.
+#[test]
+fn diverging_persisted_entry_is_quarantined_and_recomputed() {
+    const THIRD: &str = "fn third {\nentry:\n  z = p + q\n  obs z\n  ret\n}\n";
+    let dir = TempDir::new("entry-quarantine");
+    let cache_file = dir.0.join("plans.cache");
+    let m = parse_module(THIRD).expect("module parses");
+    let key = fingerprint(m.iter().next().expect("one function")).0;
+
+    let mut engine = BatchEngine::new(BatchOptions::default());
+    let want = report::render_text(&engine.run_module(&m));
+    let entry = engine.cache_mut().entry_mut(key).expect("computed entry");
+    let honest = entry.output_text.clone();
+    entry.output_text = honest.replace("p + q", "p - q");
+    assert_ne!(entry.output_text, honest, "the corruption must land");
+    save_cache(&cache_file, engine.cache(), LifetimeCounters::default()).unwrap();
+
+    let d = Daemon::start(ServeOptions {
+        workers: 1,
+        cache_file: Some(cache_file.clone()),
+        ..ServeOptions::default()
+    });
+    assert!(matches!(
+        d.load_status(),
+        Some(LoadStatus::Loaded { entries: 1 })
+    ));
+    let mut input = optimize_request(THIRD, 0, 0);
+    write_request(&mut input, &Request::Stats).unwrap();
+    let (responses, _) = roundtrip(&d, &input);
+    assert_eq!(assemble(&responses), want);
+    let Some(Response::Stats { text }) = responses.last() else {
+        panic!("expected trailing STATS, got {responses:?}");
+    };
+    let lifetime = |l: &str| l.starts_with("lifetime: ") && l.ends_with(" 1 quarantines");
+    assert!(text.lines().any(lifetime), "{text}");
+    assert_eq!(d.panics_contained(), 0);
+    d.shutdown().unwrap();
+
+    let (cache, counters) = load_cache(&cache_file, 0).expect("flushed file loads");
+    assert_eq!(counters.quarantines, 1);
+    assert_eq!(
+        cache.entry_ref(key).map(|e| e.output_text.as_str()),
+        Some(honest.as_str()),
+        "the flushed file must hold the recomputed entry"
+    );
 }
 
 #[test]
