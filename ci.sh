@@ -103,7 +103,7 @@ diff testdata/memory_alias.lcm "$SMOKE/memalias.out"
 # edited function computes, a function the save left untouched (including
 # a byte-different but parse-identical rewrite) replays through its
 # zero-dirty memo index, and an undo to an earlier revision is a
-# re-validated plan-cache hit.
+# hash-checked plan-cache hit.
 echo "==> watch smoke: scripted edits, output diffed vs one-shot batch"
 LCMOPT="$(pwd)/target/release/lcmopt"
 WFILE="$SMOKE/watched.lcm"
@@ -193,7 +193,7 @@ grep -q "watch\[3\]: fn straight: computed$" "$SMOKE/watch.log"
 grep -q "watch\[3\]: fn d: zero-dirty$" "$SMOKE/watch.log"
 grep -q "watch\[3\]: 2 ok, 0 failed; session: 4 zero-dirty, 2 recomputed;" \
   "$SMOKE/watch.log"
-# Edit 4: the undo makes fn d a re-validated cache hit, not a recompute.
+# Edit 4: the undo makes fn d a hash-checked cache hit, not a recompute.
 publish "$SMOKE/rev4.lcm"
 wait "$WATCH_PID"
 wait_out "$SMOKE/rev4.batch"
@@ -234,13 +234,18 @@ grep -Eq "cache file (loaded|refused)" "$SMOKE/serve2.log"
 # the edited function (counted as `fallback`, the field name load
 # generators parse) and replay the untouched one from the zero-dirty
 # memo, answering byte-identically to a one-shot batch either way.
+# Sending revision 0 again answers `d` with an in-process cache hit,
+# served once its output text matches the hash taken at compute time.
 "$LCMOPT" request --socket "$SOCK" "$SMOKE/rev0.lcm" > "$SMOKE/daemon.rev0"
 diff "$SMOKE/daemon.rev0" "$SMOKE/rev0.batch"
 "$LCMOPT" request --socket "$SOCK" "$SMOKE/rev1.lcm" > "$SMOKE/daemon.rev1"
 diff "$SMOKE/daemon.rev1" "$SMOKE/rev1.batch"
+"$LCMOPT" request --socket "$SOCK" "$SMOKE/rev0.lcm" > "$SMOKE/daemon.undo"
+diff "$SMOKE/daemon.undo" "$SMOKE/rev0.batch"
 "$LCMOPT" request --socket "$SOCK" --stats > "$SMOKE/serve.stats"
 grep -Eq "^incremental: 0 hits" "$SMOKE/serve.stats"
-grep -Eq "^edit classes: 1 fallback, 1 zero-dirty$" "$SMOKE/serve.stats"
+grep -Eq "^edit classes: 1 fallback, 2 zero-dirty$" "$SMOKE/serve.stats"
+grep -Eq "^panics-contained: 0$" "$SMOKE/serve.stats"
 "$LCMOPT" request --socket "$SOCK" --shutdown
 wait "$SERVE_PID"
 

@@ -802,7 +802,7 @@ fn c3() {
         t_on.as_secs_f64() * 1e3
     );
     oln!(
-        "  warm rerun: {} computed, {} hits, {:>8.1} ms (hits revalidated at the fast tier)",
+        "  warm rerun: {} computed, {} hits, {:>8.1} ms (each hit checked by its output hash)",
         r_warm.totals.computed,
         r_warm.totals.cache.hits - r_on.totals.cache.hits,
         t_warm.as_secs_f64() * 1e3
@@ -1238,7 +1238,7 @@ fn bench(quick: bool) {
     // is the shape `lcmopt watch` and the daemon actually see — one
     // function changes, the rest of the module rides along — so the warm
     // engine replays K-1 units per revision through the zero-dirty memo
-    // index and recomputes (or, for an undo, re-validates) the edited one,
+    // index and recomputes (or, for an undo, hash-checks) the edited one,
     // while the cold baseline pays K pipeline runs. The memo
     // is an index into the plan cache, so the warm engine keeps its cache
     // on; the cold one runs cache-less.

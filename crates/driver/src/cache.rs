@@ -18,42 +18,32 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 
 use lcm_core::transform::TransformStats;
-use lcm_core::{Optimized, PipelineStats};
+use lcm_core::PipelineStats;
 use lcm_ir::Function;
 
 /// The placeholder name functions are canonicalised to before hashing.
 pub const CANONICAL_NAME: &str = "__fn";
 
-/// The in-process provenance of a cache entry: the pipeline's intermediate
-/// state from the run that built it, kept to **re-validate** the cached
-/// plan on a hit with the same validator that guards the live pipeline
-/// (see the `lcm-faults` cache-poisoning tests).
-#[derive(Clone, Debug)]
-pub struct ComputedOrigin {
-    /// The post-LCSE function the plan was computed for.
-    pub pre_input: Function,
-    /// The PRE result (plan + rewritten function) for `pre_input`.
-    pub opt: Optimized,
-}
-
-/// One cached optimization result, addressed by content.
+/// One cached optimization result, addressed by content: the same record
+/// in memory as in a persisted `lcm-cache-v1` file, plus the hash of the
+/// text it serves.
 ///
-/// Entries computed in this process carry their [`ComputedOrigin`] and are
-/// re-validated on a hit via the plan validator. Entries loaded from a
-/// persisted `lcm-cache-v1` file are **thin** (`origin` is `None`): the
-/// plan and analysis state are not serialised, so a thin hit is instead
-/// re-validated by re-parsing both texts, re-verifying the IR, and running
-/// seeded differential execution of input against output — an answer is
-/// never served on the checksum's word alone.
+/// An entry computed in this process carries `output_hash`, taken once its
+/// output verified; a hit re-hashes `output_text` and serves it only if the
+/// two agree. An entry loaded from a file is **thin** (`output_hash` is
+/// `None`): nothing in the file vouches for its text, so a thin hit is
+/// instead re-validated by re-parsing both texts, re-verifying the IR, and
+/// running seeded differential execution of input against output — an
+/// answer is never served on the file checksum's word alone.
 #[derive(Clone, Debug)]
 pub struct CacheEntry {
     /// Canonical source text of the function (collision guard).
     pub canonical_input: String,
-    /// Intermediate state of the run that built the entry; `None` for thin
-    /// entries loaded from disk.
-    pub origin: Option<Box<ComputedOrigin>>,
     /// The final cleaned-up output, printed under [`CANONICAL_NAME`].
     pub output_text: String,
+    /// 128-bit FNV-1a of `output_text` when this process computed it;
+    /// `None` for thin entries loaded from disk.
+    pub output_hash: Option<u128>,
     /// Solver statistics of the fused pipeline run that built the entry.
     pub pipeline: PipelineStats,
     /// Rewrite counters of the run that built the entry.
@@ -140,8 +130,8 @@ impl PlanCache {
     }
 
     /// Immutable access to an entry by key alone, without the collision
-    /// guard — for re-validating hits that were already text-checked when
-    /// the batch was planned.
+    /// guard — for checking hits that were already text-checked when the
+    /// batch was planned.
     pub fn entry_ref(&self, key: u128) -> Option<&CacheEntry> {
         self.map.get(&key)
     }
@@ -149,7 +139,7 @@ impl PlanCache {
     /// Mutable access to an entry, **bypassing** the collision guard.
     ///
     /// This exists for fault injection: the `lcm-faults` crate corrupts
-    /// cached plans through it to prove hit-revalidation catches them. It
+    /// cached output text through it to prove the hit check catches it. It
     /// is not part of the normal driver path.
     pub fn entry_mut(&mut self, key: u128) -> Option<&mut CacheEntry> {
         self.map.get_mut(&key)
@@ -214,8 +204,8 @@ impl PlanCache {
         }
     }
 
-    /// Removes the entry under `key`, if any — the daemon's quarantine path
-    /// for a persisted entry that fails hit-revalidation. Not counted as an
+    /// Removes the entry under `key`, if any — the quarantine path for a
+    /// persisted entry that fails its hit check. Not counted as an
     /// eviction (the entry was refused, not aged out).
     pub fn remove(&mut self, key: u128) -> Option<CacheEntry> {
         let removed = self.map.remove(&key);
@@ -286,21 +276,19 @@ pub fn canonical_text(f: &Function) -> String {
 }
 
 /// Rewrites the canonical header of `output_text` back to `name` for
-/// presentation. The canonical text always starts with `fn __fn {`, so a
-/// prefix swap is exact.
-pub(crate) fn with_name(output_text: &str, name: &str) -> String {
-    let header = format!("fn {CANONICAL_NAME} {{");
-    let rest = output_text
-        .strip_prefix(header.as_str())
-        .expect("cached output text must start with the canonical header");
-    format!("fn {name} {{{rest}")
+/// presentation. Computed text starts with `fn __fn {`, so a prefix swap is
+/// exact; `None` when the header is missing (a corrupt or renamed entry).
+pub(crate) fn with_name(output_text: &str, name: &str) -> Option<String> {
+    let rest = output_text.strip_prefix(&format!("fn {CANONICAL_NAME} {{"))?;
+    Some(format!("fn {name} {{{rest}"))
 }
 
 /// 128-bit FNV-1a. Hand-rolled (hermetic workspace: no hashing crates);
 /// the 128-bit width makes accidental collisions over a corpus
 /// astronomically unlikely, and the stored-text comparison in
 /// [`PlanCache::get`] removes even that case from the correctness argument.
-fn fnv1a_128(bytes: &[u8]) -> u128 {
+/// It also hashes an entry's output text for the hit check.
+pub(crate) fn fnv1a_128(bytes: &[u8]) -> u128 {
     const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
     const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
     let mut h = OFFSET;
@@ -318,16 +306,12 @@ mod tests {
 
     fn entry_for(f: &Function) -> (u128, CacheEntry) {
         let (key, text) = fingerprint(f);
-        let opt = lcm_core::optimize(f, lcm_core::PreAlgorithm::LazyEdge).unwrap();
         let entry = CacheEntry {
+            output_hash: Some(fnv1a_128(text.as_bytes())),
+            output_text: text.clone(),
             canonical_input: text,
-            output_text: canonical_text(&opt.function),
-            pipeline: opt.pipeline_stats.unwrap_or_default(),
-            transform: opt.transform.stats,
-            origin: Some(Box::new(ComputedOrigin {
-                pre_input: f.clone(),
-                opt,
-            })),
+            pipeline: PipelineStats::default(),
+            transform: TransformStats::default(),
             validation_checks: 0,
             inputs_sampled: 0,
         };
@@ -409,6 +393,7 @@ mod tests {
     fn name_substitution_round_trips() {
         let f = parse_function("fn real_name {\nentry:\n  x = p + q\n  ret\n}").unwrap();
         let canon = canonical_text(&f);
-        assert_eq!(with_name(&canon, "real_name"), f.to_string());
+        assert_eq!(with_name(&canon, "real_name"), Some(f.to_string()));
+        assert_eq!(with_name(&f.to_string(), "other"), None);
     }
 }

@@ -12,15 +12,17 @@
 //!   fails *its unit* and the rest of the batch completes.
 //! * **Caching** — a content-addressed [`PlanCache`] keyed by the
 //!   canonically-printed function body means duplicate functions across a
-//!   corpus are optimized once; cached plans are **re-validated** on hit,
-//!   so a corrupted cache degrades to a unit failure, not to wrong code.
-//!   The cache is the only place optimized output lives.
+//!   corpus are optimized once; every hit is **checked** before it is
+//!   served (an in-process entry's output text against the hash taken when
+//!   it was computed, a disk-loaded one from first principles), so a
+//!   corrupted cache degrades to a unit failure, not to wrong code. The
+//!   cache is the only place optimized output lives.
 //! * **Edit streams** — `lcmopt watch` and the serve daemon answer each
 //!   unit through one reuse ladder: the zero-dirty memo index (function
 //!   name → fingerprint of its last computed revision, or in `watch` of
-//!   its last re-validated hit, replayed from the cache without
-//!   re-validation), then a re-validated cache hit, then a
-//!   compute that fills both ([`BatchEngine::run_module_incremental`]).
+//!   its last checked hit, replayed from the cache without a check), then
+//!   a checked cache hit, then a compute that fills both
+//!   ([`BatchEngine::run_module_incremental`]).
 //! * **Determinism** — cache lookups, cache insertions and report assembly
 //!   are sequential in function order; only the pipeline runs themselves
 //!   are parallel. The rendered output and aggregated statistics are
@@ -55,8 +57,8 @@ mod load;
 mod persist;
 
 pub use cache::{
-    canonical_text, fingerprint, fingerprint_with_context, CacheEntry, CacheStats, ComputedOrigin,
-    PlanCache, CANONICAL_NAME,
+    canonical_text, fingerprint, fingerprint_with_context, CacheEntry, CacheStats, PlanCache,
+    CANONICAL_NAME,
 };
 pub use load::{load_units, text_from_bytes, LoadError};
 pub use persist::{
@@ -69,7 +71,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
 use lcm_core::transform::TransformStats;
-use lcm_core::validate::{sample_inputs, validate_optimized, ValidationLevel};
+use lcm_core::validate::{sample_inputs, ValidationLevel};
 use lcm_core::{
     passes, EdgeWeights, OptimizeBudget, Pipeline, PipelineError, PipelineStats, PreAlgorithm,
     SpecStats,
@@ -88,8 +90,9 @@ pub struct BatchOptions {
     /// [`PreAlgorithm::LazyEdge`] — there is no frequency information to
     /// speculate on — and share cache entries with plain LCM runs.
     pub placement: PreAlgorithm,
-    /// Validation tier for computed units; cache hits are re-validated at
-    /// the fast tier whenever this is not [`ValidationLevel::Off`].
+    /// Validation tier for computed units. Cache hits are checked at every
+    /// tier, [`ValidationLevel::Off`] included: an in-process entry by its
+    /// output hash, a disk-loaded one from first principles.
     pub validate: ValidationLevel,
     /// Seed for the validator's differential execution.
     pub seed: u64,
@@ -135,7 +138,7 @@ pub enum FailureKind {
     InvalidOutput,
     /// The pipeline panicked; the panic was caught and contained.
     Panic,
-    /// A cached plan failed re-validation on hit (cache corruption).
+    /// A cache hit failed its check (cache corruption).
     PoisonedCache,
     /// The unit exceeded its [`OptimizeBudget`] (deadline/fuel/cancel flag)
     /// and was abandoned at a pipeline stage boundary.
@@ -203,8 +206,8 @@ pub enum CacheDisposition {
     Hit,
     /// Replayed through the zero-dirty memo index: the revision is the one
     /// this function name last computed (or, in `watch`, last hit) in this
-    /// process, so its cache entry was served without re-validation. Only `watch` and the daemon consult the
-    /// index.
+    /// process, so its cache entry was served without a check. Only `watch`
+    /// and the daemon consult the index.
     ZeroDirty,
 }
 
@@ -256,7 +259,7 @@ pub struct BatchTotals {
     /// unless the batch ran [`PreAlgorithm::Speculative`]).
     pub spec: SpecStats,
     /// Validator checks run in this batch (computed units plus cache-hit
-    /// re-validations).
+    /// checks).
     pub validation_checks: usize,
     /// Differential inputs sampled in this batch.
     pub inputs_sampled: usize,
@@ -289,23 +292,19 @@ enum UnitPlan {
     Compute { key: Option<u128> },
     /// Intra-batch duplicate of the unit at `leader` (which computes).
     Replay { leader: usize },
-    /// Already cached. The answer is snapshotted at planning time so later
-    /// insertions (and their evictions) cannot disturb it; its validator
-    /// counters are filled in at assembly.
-    Hit { key: u128, answer: UnitSuccess },
+    /// Already cached under `key`. Phase 2 serves it ([`serve_hit`])
+    /// before phase 3 inserts anything, so no later eviction can disturb it.
+    Hit { key: u128 },
 }
 
-/// One parallel job: run a unit's pipeline, or re-validate a cached entry.
-enum Job {
-    Compute(usize),
-    Revalidate(u128),
-}
+/// A computed entry and the speculative-planner counters of its run.
+type Computed = Result<(CacheEntry, SpecStats), UnitError>;
 
-/// What a parallel job produced. The computed entry is boxed: it is two
-/// orders of magnitude bigger than the revalidation counters.
+/// What a parallel job produced for its unit: a pipeline run, or a served
+/// hit.
 enum JobOut {
-    Computed(usize, Result<Box<CacheEntry>, UnitError>),
-    Revalidated(u128, Result<(usize, usize), UnitError>),
+    Computed(Computed),
+    Served(Result<UnitSuccess, UnitError>),
 }
 
 /// The durable-cache half of an engine: where the cache file lives, the
@@ -327,11 +326,11 @@ pub struct MemoStats {
 }
 
 /// What the memo index and the plan cache hold for one unit of
-/// [`answer_unit`]: a replayed answer, a hit still to be re-validated, or
+/// [`answer_unit`]: a replayed answer, a hit still to be checked, or
 /// nothing.
 enum Lookup {
     Memo(UnitSuccess),
-    Hit(Box<CacheEntry>),
+    Hit(CacheEntry),
     Miss,
 }
 
@@ -418,19 +417,20 @@ impl BatchEngine {
 
     /// The reuse ladder's lookup: the memo index (when `memo`), then the
     /// plan cache, counting the hit or miss. A replay needs the indexed
-    /// entry live and computed (so validated) in this process; an evicted
-    /// or stale index falls through to the normal lookup.
+    /// entry live, computed (so validated) in this process and renamable;
+    /// anything else falls through to the normal lookup.
     fn lookup(&mut self, name: &str, key: u128, text: &str, memo: bool) -> Lookup {
         let entry = self.cache.get(key, text);
         if memo && self.memos.get(name) == Some(&key) {
-            if let Some(entry) = entry.filter(|e| e.origin.is_some()) {
+            let replay = entry.filter(|e| e.output_hash.is_some());
+            if let Some(Ok(s)) = replay.map(|e| success(e, name, 0, 0)) {
                 self.memo_stats.hits += 1;
-                return Lookup::Memo(success(entry, name, 0, 0));
+                return Lookup::Memo(s);
             }
         }
         match entry {
             Some(entry) => {
-                let entry = Box::new(entry.clone());
+                let entry = entry.clone();
                 self.cache.note_hit();
                 Lookup::Hit(entry)
             }
@@ -450,8 +450,8 @@ impl BatchEngine {
         }
     }
 
-    /// Removes a persisted entry that failed hit re-validation and counts
-    /// the quarantine in the lifetime counters.
+    /// Removes a persisted entry that failed its hit check and counts the
+    /// quarantine in the lifetime counters.
     fn quarantine(&mut self, key: u128) {
         self.cache.remove(key);
         if let Some(p) = &mut self.persisted {
@@ -502,7 +502,7 @@ impl BatchEngine {
     /// (`answer_unit`): a function whose fingerprint matches the revision
     /// its name last answered replays from the cache
     /// ([`CacheDisposition::ZeroDirty`]); any other cached revision is a
-    /// re-validated [`CacheDisposition::Hit`], which here (unlike in the
+    /// checked [`CacheDisposition::Hit`], which here (unlike in the
     /// daemon) also moves the index, so an undo replays from the next
     /// revision on; the rest run the same [`optimize_unit`] pipeline as
     /// [`BatchEngine::run`] and fill both.
@@ -575,13 +575,9 @@ impl BatchEngine {
                 continue;
             }
             let (key, text) = fingerprint_with_context(&unit.function, &contexts[i]);
-            if let Some(entry) = self.cache.get(key, &text) {
-                let plan = UnitPlan::Hit {
-                    key,
-                    answer: success(entry, &unit.function.name, 0, 0),
-                };
+            if self.cache.get(key, &text).is_some() {
                 self.cache.note_hit();
-                plans.push(plan);
+                plans.push(UnitPlan::Hit { key });
             } else if let Some(&leader) = leader_of.get(&key) {
                 self.cache.note_hit();
                 plans.push(UnitPlan::Replay { leader });
@@ -592,71 +588,48 @@ impl BatchEngine {
             }
         }
 
-        // Phase 2 — the parallel part: pipeline runs for every planned
-        // compute, plus one fast-tier re-validation per distinct cache hit.
-        let mut jobs: Vec<Job> = Vec::new();
-        for (i, plan) in plans.iter().enumerate() {
-            if matches!(plan, UnitPlan::Compute { .. }) {
-                jobs.push(Job::Compute(i));
-            }
-        }
-        if self.opts.validate != ValidationLevel::Off {
-            let mut seen: Vec<u128> = Vec::new();
-            for plan in &plans {
-                if let UnitPlan::Hit { key, .. } = plan {
-                    if !seen.contains(key) {
-                        seen.push(*key);
-                        jobs.push(Job::Revalidate(*key));
-                    }
-                }
-            }
-        }
-
+        // Phase 2 — the parallel part: a pipeline run for every planned
+        // compute, a check and rename for every planned hit.
+        let jobs: Vec<usize> = (0..plans.len())
+            .filter(|&i| matches!(plans[i], UnitPlan::Compute { .. } | UnitPlan::Hit { .. }))
+            .collect();
         let cache = &self.cache;
         let opts = self.opts;
         // One SolverScratch per worker, reused across every function that
         // worker computes: O(threads) solver arenas per batch instead of
         // O(functions × analyses × blocks) transient allocations.
-        let outs: Vec<JobOut> = pool::run_indexed_with(
-            threads,
-            jobs.len(),
-            SolverScratch::new,
-            |scratch, j| match jobs[j] {
-                Job::Compute(i) => JobOut::Computed(
-                    i,
-                    isolate(AssertUnwindSafe(|| {
-                        optimize_unit(
-                            &units[i].function,
-                            &opts,
-                            weights[i].as_ref(),
-                            &contexts[i],
-                            scratch,
-                            &OptimizeBudget::unlimited(),
-                        )
-                        .map(Box::new)
-                    })),
-                ),
-                Job::Revalidate(key) => {
+        let outs: Vec<JobOut> =
+            pool::run_indexed_with(threads, jobs.len(), SolverScratch::new, |scratch, j| {
+                let (i, f) = (jobs[j], &units[jobs[j]].function);
+                if let UnitPlan::Hit { key } = plans[i] {
                     let entry = cache
                         .entry_ref(key)
                         .expect("planned hit entries outlive phase 2");
-                    JobOut::Revalidated(
-                        key,
-                        isolate(AssertUnwindSafe(|| revalidate_entry(entry, opts.seed))),
-                    )
+                    return JobOut::Served(isolate(AssertUnwindSafe(|| {
+                        serve_hit(entry, &f.name, opts.seed)
+                    })));
                 }
-            },
-        );
+                JobOut::Computed(isolate(AssertUnwindSafe(|| {
+                    optimize_unit(
+                        f,
+                        &opts,
+                        weights[i].as_ref(),
+                        &contexts[i],
+                        scratch,
+                        &OptimizeBudget::unlimited(),
+                    )
+                })))
+            });
 
-        let mut computed: HashMap<usize, Result<Box<CacheEntry>, UnitError>> = HashMap::new();
-        let mut revalidated: HashMap<u128, Result<(usize, usize), UnitError>> = HashMap::new();
-        for out in outs {
+        let mut computed: HashMap<usize, Computed> = HashMap::new();
+        let mut served: HashMap<usize, Result<UnitSuccess, UnitError>> = HashMap::new();
+        for (i, out) in jobs.into_iter().zip(outs) {
             match out {
-                JobOut::Computed(i, r) => {
+                JobOut::Computed(r) => {
                     computed.insert(i, r);
                 }
-                JobOut::Revalidated(key, r) => {
-                    revalidated.insert(key, r);
+                JobOut::Served(r) => {
+                    served.insert(i, r);
                 }
             }
         }
@@ -679,55 +652,42 @@ impl BatchEngine {
                     let disposition =
                         key.map_or(CacheDisposition::Uncached, |_| CacheDisposition::Computed);
                     match &computed[&i] {
-                        Ok(entry) => {
+                        Ok((entry, spec)) => {
                             totals.computed += 1;
                             totals.pipeline += entry.pipeline;
                             totals.transform += entry.transform;
-                            totals.spec += entry
-                                .origin
-                                .as_ref()
-                                .and_then(|o| o.opt.spec)
-                                .unwrap_or_default();
+                            totals.spec += *spec;
                             let (checks, inputs) = (entry.validation_checks, entry.inputs_sampled);
                             totals.validation_checks += checks;
                             totals.inputs_sampled += inputs;
-                            let success = success(entry, &name, checks, inputs);
+                            let answer = success(entry, &name, checks, inputs);
                             if let Some(key) = key {
-                                self.cache.insert(*key, (**entry).clone());
+                                self.cache.insert(*key, entry.clone());
                             }
-                            (disposition, UnitOutcome::Ok(success))
+                            (
+                                disposition,
+                                answer.map_or_else(UnitOutcome::Failed, UnitOutcome::Ok),
+                            )
                         }
                         Err(e) => (disposition, UnitOutcome::Failed(e.clone())),
                     }
                 }
-                UnitPlan::Replay { leader } => match &computed[leader] {
-                    Ok(entry) => (
-                        CacheDisposition::Hit,
-                        UnitOutcome::Ok(success(entry, &name, 0, 0)),
-                    ),
-                    Err(e) => (CacheDisposition::Hit, UnitOutcome::Failed(e.clone())),
-                },
-                UnitPlan::Hit { key, answer } => {
-                    let checks = if self.opts.validate == ValidationLevel::Off {
-                        Ok((0, 0))
-                    } else {
-                        revalidated[key].clone()
-                    };
-                    match checks {
-                        Ok((validation_checks, inputs_sampled)) => {
-                            totals.validation_checks += validation_checks;
-                            totals.inputs_sampled += inputs_sampled;
-                            (
-                                CacheDisposition::Hit,
-                                UnitOutcome::Ok(UnitSuccess {
-                                    validation_checks,
-                                    inputs_sampled,
-                                    ..answer.clone()
-                                }),
-                            )
-                        }
-                        Err(e) => (CacheDisposition::Hit, UnitOutcome::Failed(e)),
+                UnitPlan::Replay { leader } => (
+                    CacheDisposition::Hit,
+                    computed[leader]
+                        .as_ref()
+                        .map_err(Clone::clone)
+                        .and_then(|(entry, _)| success(entry, &name, 0, 0))
+                        .map_or_else(UnitOutcome::Failed, UnitOutcome::Ok),
+                ),
+                UnitPlan::Hit { .. } => {
+                    let answer = served.remove(&i).expect("every planned hit is served");
+                    if let Ok(s) = &answer {
+                        totals.validation_checks += s.validation_checks;
+                        totals.inputs_sampled += s.inputs_sampled;
                     }
+                    let outcome = answer.map_or_else(UnitOutcome::Failed, UnitOutcome::Ok);
+                    (CacheDisposition::Hit, outcome)
                 }
             };
             match &outcome {
@@ -773,14 +733,15 @@ impl EngineAccess for &Mutex<BatchEngine> {
 
 /// The reuse ladder for one unit of `lcmopt watch` or the serve daemon:
 /// verify; consult the memo index unless `budget` carries a deadline or
-/// fuel cap; look up the cache, counting the hit or miss; re-validate a
-/// hit; compute with [`optimize_unit`]; fill the cache and the index. A
-/// hit failing re-validation is a [`FailureKind::PoisonedCache`] unit
-/// failure if this process computed it; a thin (disk-loaded) one is
-/// quarantined and the unit recomputes — disk corruption costs warmth,
-/// not availability. Only a compute moves the index here (the daemon's
-/// contract); `watch` also moves it on a validated hit. With the cache off
-/// nothing is reused. Returns the unit's cache key beside its answer.
+/// fuel cap; look up the cache, counting the hit or miss; check and serve
+/// a hit ([`serve_hit`]); compute with [`optimize_unit`]; fill the cache
+/// and the index. A hit failing its check or its rename is a
+/// [`FailureKind::PoisonedCache`] unit failure if this process computed
+/// it; a thin (disk-loaded) one is quarantined and the unit recomputes —
+/// disk corruption costs warmth, not availability. Only a compute moves
+/// the index here (the daemon's contract); `watch` also moves it on a
+/// checked hit. With the cache off nothing is reused. Returns the unit's
+/// cache key beside its answer.
 pub(crate) fn answer_unit(
     engine: &mut impl EngineAccess,
     f: &Function,
@@ -805,12 +766,9 @@ pub(crate) fn answer_unit(
         match engine.with(|e| e.lookup(&f.name, *k, text, memo)) {
             Lookup::Memo(s) => return (Some(*k), CacheDisposition::ZeroDirty, UnitOutcome::Ok(s)),
             Lookup::Hit(entry) => {
-                match isolate(AssertUnwindSafe(|| revalidate_entry(&entry, opts.seed))) {
-                    Ok((checks, inputs)) => {
-                        let s = success(&entry, &f.name, checks, inputs);
-                        return (Some(*k), CacheDisposition::Hit, UnitOutcome::Ok(s));
-                    }
-                    Err(_) if entry.origin.is_none() => engine.with(|e| e.quarantine(*k)),
+                match isolate(AssertUnwindSafe(|| serve_hit(&entry, &f.name, opts.seed))) {
+                    Ok(s) => return (Some(*k), CacheDisposition::Hit, UnitOutcome::Ok(s)),
+                    Err(_) if entry.output_hash.is_none() => engine.with(|e| e.quarantine(*k)),
                     Err(e) => return (Some(*k), CacheDisposition::Hit, UnitOutcome::Failed(e)),
                 }
             }
@@ -821,13 +779,13 @@ pub(crate) fn answer_unit(
         .as_ref()
         .map_or(CacheDisposition::Uncached, |_| CacheDisposition::Computed);
     let computed = isolate(AssertUnwindSafe(|| {
-        optimize_unit(f, &opts, weights.as_ref(), &context, scratch, budget)
+        let (entry, _) = optimize_unit(f, &opts, weights.as_ref(), &context, scratch, budget)?;
+        let (checks, inputs) = (entry.validation_checks, entry.inputs_sampled);
+        Ok((success(&entry, &f.name, checks, inputs)?, entry))
     }));
     let key = key.map(|(k, _)| k);
     match computed {
-        Ok(entry) => {
-            let (checks, inputs) = (entry.validation_checks, entry.inputs_sampled);
-            let s = success(&entry, &f.name, checks, inputs);
+        Ok((s, entry)) => {
             if let Some(k) = key {
                 engine.with(|e| e.fill(&f.name, k, entry, memo));
             }
@@ -838,20 +796,25 @@ pub(crate) fn answer_unit(
 }
 
 /// A unit answered from `entry` under its own `name`, with the validator
-/// counters this answer cost.
+/// counters this answer cost. An output text without the canonical header
+/// cannot be renamed and is a [`FailureKind::PoisonedCache`] error.
 fn success(
     entry: &CacheEntry,
     name: &str,
     validation_checks: usize,
     inputs_sampled: usize,
-) -> UnitSuccess {
-    UnitSuccess {
-        output: cache::with_name(&entry.output_text, name),
+) -> Result<UnitSuccess, UnitError> {
+    let output = cache::with_name(&entry.output_text, name).ok_or_else(|| UnitError {
+        kind: FailureKind::PoisonedCache,
+        message: format!("cached output does not start with `fn {CANONICAL_NAME} {{`"),
+    })?;
+    Ok(UnitSuccess {
+        output,
         pipeline: entry.pipeline,
         transform: entry.transform,
         validation_checks,
         inputs_sampled,
-    }
+    })
 }
 
 /// Resolves a unit's edge weights and the placement context it is
@@ -933,7 +896,8 @@ fn unit_context(placement: PreAlgorithm, weights: Option<&EdgeWeights>) -> Strin
 /// the recorded `canonical_input` embeds the context so the cache's
 /// collision guard keeps differently-weighted plans apart. LCSE never
 /// touches the CFG, so edge weights resolved against the pre-LCSE
-/// function remain valid for `g`.
+/// function remain valid for `g`. Returns the entry, its output hashed
+/// once the output verified, beside the run's speculative-planner counters.
 fn optimize_unit(
     f: &Function,
     opts: &BatchOptions,
@@ -941,7 +905,7 @@ fn optimize_unit(
     context: &str,
     scratch: &mut SolverScratch,
     budget: &OptimizeBudget,
-) -> Result<CacheEntry, UnitError> {
+) -> Result<(CacheEntry, SpecStats), UnitError> {
     let mut g = f.clone();
     g.name = CANONICAL_NAME.to_string();
     let canonical_input = cache::contextual_text(&g.to_string(), context);
@@ -967,7 +931,7 @@ fn optimize_unit(
         },
         message: e.to_string(),
     })?;
-    let mut out = opt.function.clone();
+    let mut out = opt.function;
     passes::copy_propagation(&mut out);
     passes::dce(&mut out);
     simplify_cfg(&mut out);
@@ -983,50 +947,49 @@ fn optimize_unit(
     pipeline.avail.allocations = 0;
     pipeline.antic.allocations = 0;
     pipeline.later.allocations = 0;
-    Ok(CacheEntry {
+    let output_text = out.to_string();
+    let entry = CacheEntry {
         canonical_input,
+        output_hash: Some(cache::fnv1a_128(output_text.as_bytes())),
+        output_text,
         pipeline,
         transform: opt.transform.stats,
-        output_text: out.to_string(),
-        origin: Some(Box::new(ComputedOrigin { pre_input: g, opt })),
         validation_checks: report.checks_run,
         inputs_sampled: report.inputs_sampled,
-    })
+    };
+    Ok((entry, opt.spec.unwrap_or_default()))
 }
 
-/// Differential inputs a thin-entry re-validation samples.
+/// Differential inputs a thin-entry check samples.
 const THIN_REVALIDATE_INPUTS: usize = 3;
 
-/// Interpreter fuel per differential run during thin-entry re-validation.
+/// Interpreter fuel per differential run during a thin-entry check.
 const THIN_REVALIDATE_FUEL: u64 = 100_000;
 
-/// Re-validates a cached entry on a hit — cheap enough to run every time.
+/// Serves a cache hit under `name` once its entry passes one check — the
+/// way every hit is served, in batch, watch and the daemon, at every
+/// validation tier.
 ///
-/// An entry computed in this process carries its [`ComputedOrigin`], and
-/// the plan validator's fast tier re-checks the stored plan against the
-/// paper's invariants. A **thin** entry (loaded from a persisted cache
-/// file) has no plan to audit, so it is re-validated from first
-/// principles: both stored texts must re-parse and re-verify, and the
-/// output must be observationally equivalent to the input on seeded
+/// An entry computed in this process was validated when it was computed,
+/// and its output text hashed once it verified: the hit re-hashes the text
+/// it is about to serve and compares. A **thin** entry (loaded from a
+/// persisted cache file) carries no such hash, so it is re-validated from
+/// first principles: both stored texts must re-parse and re-verify, and
+/// the output must be observationally equivalent to the input on seeded
 /// differential runs. Either way, a corrupted entry degrades to a
 /// [`FailureKind::PoisonedCache`] unit failure, never to wrong code.
-///
-/// Returns the (checks, inputs) counters on success.
-fn revalidate_entry(entry: &CacheEntry, seed: u64) -> Result<(usize, usize), UnitError> {
-    if let Some(origin) = &entry.origin {
-        return match validate_optimized(&origin.pre_input, &origin.opt, ValidationLevel::Fast, seed)
-        {
-            Ok(report) => Ok((report.checks_run, report.inputs_sampled)),
-            Err(e) => Err(UnitError {
-                kind: FailureKind::PoisonedCache,
-                message: e.to_string(),
-            }),
-        };
-    }
+fn serve_hit(entry: &CacheEntry, name: &str, seed: u64) -> Result<UnitSuccess, UnitError> {
     let poisoned = |message: String| UnitError {
         kind: FailureKind::PoisonedCache,
         message,
     };
+    if let Some(hash) = entry.output_hash {
+        if cache::fnv1a_128(entry.output_text.as_bytes()) != hash {
+            let message = "cached output text differs from the text computed in this process";
+            return Err(poisoned(message.into()));
+        }
+        return success(entry, name, 1, 0);
+    }
     // The stored input embeds the placement context as a `;; ...` suffix,
     // which is not IR; strip it before re-parsing.
     let (input_text, _context) = cache::split_context(&entry.canonical_input);
@@ -1046,5 +1009,10 @@ fn revalidate_entry(entry: &CacheEntry, seed: u64) -> Result<(usize, usize), Uni
         }
     }
     // Two structural re-verifications plus the differential runs.
-    Ok((2 + THIN_REVALIDATE_INPUTS, THIN_REVALIDATE_INPUTS))
+    success(
+        entry,
+        name,
+        2 + THIN_REVALIDATE_INPUTS,
+        THIN_REVALIDATE_INPUTS,
+    )
 }

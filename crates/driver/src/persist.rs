@@ -3,7 +3,7 @@
 //! A persisted cache lets `lcmopt serve` (and `lcmopt batch --cache-file`)
 //! restart warm: entries computed before a crash or redeploy are
 //! re-hydrated as **thin** [`CacheEntry`]s and re-validated on every hit
-//! (see `revalidate_entry` in the crate root), so the file is a
+//! (see `serve_hit` in the crate root), so the file is a
 //! performance artifact, never a trust root. The format is designed for
 //! hostile and half-written files:
 //!
@@ -255,8 +255,8 @@ pub fn save_cache(path: &Path, cache: &PlanCache, counters: LifetimeCounters) ->
 
 /// Loads a `lcm-cache-v1` file into a cache of `capacity` (0 = unbounded),
 /// verifying magic, version, every entry checksum, and the footer. Loaded
-/// entries are **thin** — they carry no plan and are re-validated from
-/// first principles on every hit.
+/// entries are **thin** — they carry no output hash and are re-validated
+/// from first principles on every hit.
 ///
 /// # Errors
 ///
@@ -438,7 +438,7 @@ fn thin_entry(
     };
     CacheEntry {
         canonical_input,
-        origin: None,
+        output_hash: None,
         output_text,
         pipeline: PipelineStats {
             avail: solve(&stats[0..5]),
@@ -538,8 +538,8 @@ mod tests {
             assert_eq!(e1.transform, e2.transform);
             assert_eq!(e1.validation_checks, e2.validation_checks);
             assert_eq!(e1.inputs_sampled, e2.inputs_sampled);
-            assert!(e1.origin.is_some());
-            assert!(e2.origin.is_none(), "loaded entries must be thin");
+            assert!(e1.output_hash.is_some());
+            assert!(e2.output_hash.is_none(), "loaded entries must be thin");
         }
         assert!(
             !tmp_path(&path).exists(),

@@ -257,6 +257,12 @@ impl Daemon {
             .cloned()
     }
 
+    /// Runs `f` on the shared engine under its lock — for fault injection
+    /// and tests; the daemon's own path never needs it.
+    pub fn with_engine<R>(&self, f: impl FnOnce(&mut BatchEngine) -> R) -> R {
+        f(&mut self.core.engine.lock().expect("engine lock"))
+    }
+
     /// The outer worker-loop panic backstop counter. The per-unit
     /// `catch_unwind` isolation should make this impossible to increment;
     /// tests assert it stays 0 under protocol hostility.

@@ -134,15 +134,18 @@ fn second_batch_is_served_from_cache_and_revalidated() {
 }
 
 #[test]
-fn validation_off_skips_hit_revalidation() {
+fn validation_off_still_checks_hits() {
     let m = corpus_module(4, 60);
     let mut engine = BatchEngine::new(BatchOptions {
         validate: ValidationLevel::Off,
         ..options(2, true)
     });
-    engine.run_module(&m);
+    let first = engine.run_module(&m);
+    assert_eq!(first.totals.validation_checks, 0);
     let second = engine.run_module(&m);
-    assert_eq!(second.totals.validation_checks, 0);
+    // One output-hash check per distinct hit, even with validation off.
+    assert_eq!(second.totals.cache.hits, 4);
+    assert_eq!(second.totals.validation_checks, 4);
     assert_eq!(second.totals.ok, 4);
 }
 

@@ -10,6 +10,10 @@
 //! assert that [`validate_optimized`](lcm_core::validate::validate_optimized)
 //! rejects the result with the error the class predicts.
 //!
+//! The batch driver's shortcuts have corruptors too: [`poison_cached_output`]
+//! (the text a plan-cache hit serves), [`poison_output_memo`] (a memo index
+//! key) and [`corrupt_cache_file`] (a persisted cache file).
+//!
 //! Corruptors are seeded, never random: the same `(fault, seed)` pair
 //! produces the same corruption, so a failing run reproduces exactly.
 //!
@@ -203,29 +207,72 @@ pub fn inject(opt: &mut Optimized, fault: Fault, seed: u64) -> bool {
     }
 }
 
-/// Corrupts the cached optimization result for `f` in place, modelling a
-/// poisoned (or bit-rotted) plan-cache entry in the batch driver.
-///
-/// The entry is addressed the same way the driver addresses it — by the
-/// content [`fingerprint`](lcm_driver::fingerprint) of `f` — and the
-/// corruption is applied by [`inject`] to the stored [`Optimized`] result,
-/// which is exactly the state hit-revalidation re-checks. The entry's
-/// rendered output text is left untouched: a poisoned entry *looks*
-/// servable, and only the validator can tell it is not.
-///
-/// Returns `false` when the cache holds no entry for `f` or the fault
-/// class does not apply to the cached result; the cache is then unchanged.
-pub fn poison_cached_plan(cache: &mut PlanCache, f: &Function, fault: Fault, seed: u64) -> bool {
-    let (key, _) = lcm_driver::fingerprint(f);
-    let Some(entry) = cache.entry_mut(key) else {
+/// One seeded corruption of the output text a plan-cache hit serves,
+/// modelling a poisoned entry in the driver's memory. The first three
+/// mirror the [`Fault`] classes of the same name on printed text;
+/// `ExtraObs` leaves text that parses, verifies and is still wrong.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum OutputFault {
+    /// Remove one assignment line.
+    DropInsertion,
+    /// Duplicate one assignment line in place.
+    DuplicateInsertion,
+    /// Make one terminator jump to a label the function does not define.
+    CorruptTerminator,
+    /// Duplicate one `obs` line.
+    ExtraObs,
+}
+
+impl OutputFault {
+    /// Every output fault class, for exhaustive mutation loops.
+    pub const ALL: [OutputFault; 4] = [
+        OutputFault::DropInsertion,
+        OutputFault::DuplicateInsertion,
+        OutputFault::CorruptTerminator,
+        OutputFault::ExtraObs,
+    ];
+}
+
+/// Corrupts one seeded line of the output text of `f`'s entry in `cache`,
+/// addressed by `f`'s [`fingerprint`](lcm_driver::fingerprint) as the
+/// driver addresses it, and leaves the rest of the entry as it was.
+/// Returns `false`, the cache unchanged, when there is no entry for `f` or
+/// no line the fault class applies to.
+pub fn poison_cached_output(
+    cache: &mut PlanCache,
+    f: &Function,
+    fault: OutputFault,
+    seed: u64,
+) -> bool {
+    let Some(entry) = cache.entry_mut(lcm_driver::fingerprint(f).0) else {
         return false;
     };
-    // Thin (disk-loaded) entries carry no plan to poison; their corruption
-    // classes live in [`CacheFileFault`] instead.
-    let Some(origin) = entry.origin.as_deref_mut() else {
+    let mut lines: Vec<&str> = entry.output_text.lines().collect();
+    let sites: Vec<usize> = (0..lines.len())
+        .filter(|&i| match fault {
+            OutputFault::DropInsertion | OutputFault::DuplicateInsertion => {
+                lines[i].starts_with("  ") && lines[i].contains(" = ")
+            }
+            OutputFault::CorruptTerminator => ["  jmp ", "  br ", "  ret"]
+                .iter()
+                .any(|p| lines[i].starts_with(p)),
+            OutputFault::ExtraObs => lines[i].starts_with("  obs "),
+        })
+        .collect();
+    if sites.is_empty() {
         return false;
-    };
-    inject(&mut origin.opt, fault, seed)
+    }
+    let mut state = seed ^ 0x5EED_FA17_u64;
+    let i = sites[(splitmix64(&mut state) % sites.len() as u64) as usize];
+    match fault {
+        OutputFault::DropInsertion => {
+            lines.remove(i);
+        }
+        OutputFault::DuplicateInsertion | OutputFault::ExtraObs => lines.insert(i, lines[i]),
+        OutputFault::CorruptTerminator => lines[i] = "  jmp dangling.target",
+    }
+    entry.output_text = lines.join("\n");
+    true
 }
 
 /// One class of seeded corruption of an `lcm-cache-v1` *file* (see
@@ -488,32 +535,16 @@ pub fn optimize_with_dropped_store_kill(
     }))
 }
 
-/// Corrupts `name`'s zero-dirty memo index in `engine`: seeded garbage
-/// over the output text of the cache entry it names or, when `stale_key`,
-/// a flipped index key, modelling an index that outlived its revision.
-/// The driver's defense is *keying*, not re-validation: a dirty function
-/// can never meet the garbage (its fingerprint differs) and a stale key
-/// can never be replayed (nothing fingerprints to it). Returns whether the
-/// fault landed: `name` is indexed and, for the garbage, its entry live.
-pub fn poison_output_memo(
-    engine: &mut lcm_driver::BatchEngine,
-    name: &str,
-    seed: u64,
-    stale_key: bool,
-) -> bool {
+/// Flips bits of `name`'s zero-dirty memo index key in `engine`, modelling
+/// an index that outlived its revision. The driver's defense is *keying*:
+/// a stale key can never be replayed, because nothing fingerprints to it.
+/// Returns whether the fault landed (`name` is indexed).
+pub fn poison_output_memo(engine: &mut lcm_driver::BatchEngine, name: &str, seed: u64) -> bool {
     let mut state = seed ^ 0x5EED_FA17_u64;
     let Some(key) = engine.memo_mut(name) else {
         return false;
     };
-    if stale_key {
-        *key ^= 1 | (u128::from(splitmix64(&mut state)) << 64);
-        return true;
-    }
-    let key = *key;
-    let Some(entry) = engine.cache_mut().entry_mut(key) else {
-        return false;
-    };
-    entry.output_text = format!("; poisoned memo {:016x}\n", splitmix64(&mut state));
+    *key ^= 1 | (u128::from(splitmix64(&mut state)) << 64);
     true
 }
 
@@ -873,12 +904,14 @@ mod tests {
         let answer =
             |m| report::render_text(&BatchEngine::new(BatchOptions::default()).run_module(m));
 
-        // A dirty function whose indexed entry carries garbage output (key
-        // intact): the edit changes the fingerprint, so the index is
-        // bypassed, the unit computes, and the garbage never surfaces.
+        // A dirty function whose indexed entry carries a corrupt output
+        // (key intact): the edit changes the fingerprint, so the index is
+        // bypassed, the unit computes, and the corruption never surfaces.
+        let d0 = m0.iter().next().unwrap().clone();
         let mut engine = BatchEngine::new(BatchOptions::default());
         engine.run_module_incremental(&m0);
-        assert!(poison_output_memo(&mut engine, "d", 3, false));
+        let fault = OutputFault::CorruptTerminator;
+        assert!(poison_cached_output(engine.cache_mut(), &d0, fault, 3));
         let units = engine.run_module_incremental(&m1);
         assert_eq!(units[0].cache, CacheDisposition::Computed);
         assert_eq!(report::render_text(&units), answer(&m1));
@@ -888,7 +921,7 @@ mod tests {
         // which heals the index, so the next identical revision replays.
         let mut engine = BatchEngine::new(BatchOptions::default());
         engine.run_module_incremental(&m0);
-        assert!(poison_output_memo(&mut engine, "d", 4, true));
+        assert!(poison_output_memo(&mut engine, "d", 4));
         let units = engine.run_module_incremental(&m0);
         assert_eq!(units[0].cache, CacheDisposition::Hit);
         assert_eq!(report::render_text(&units), answer(&m0));
@@ -918,7 +951,7 @@ mod tests {
         for i in 1..4 {
             engine.run_module_incremental(&parse_module(&e(i)).unwrap());
         }
-        assert!(!poison_output_memo(&mut engine, "d", 5, false));
+        assert!(!poison_cached_output(engine.cache_mut(), &d0, fault, 5));
         let m2 = parse_module(&format!("{DIAMOND}\n\n{}", e(3))).unwrap();
         let units = engine.run_module_incremental(&m2);
         assert_eq!(units[0].cache, CacheDisposition::Computed);

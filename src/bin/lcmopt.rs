@@ -328,6 +328,8 @@ fn batch_usage() -> &'static str {
      --cache-file persists the plan cache across runs in the lcm-cache-v1 \
      format (corrupt files are quarantined to a .corrupt sidecar and the \
      run proceeds cold).\n\
+     --validate sets the tier for computed functions; cache hits are \
+     checked at every tier, off included.\n\
      exit codes: 0 ok, 1 internal error, 2 usage, 3 parse, 5 any unit failed"
 }
 
@@ -586,12 +588,12 @@ fn serve_usage() -> &'static str {
      stdin/stdout until EOF. Either way it drains in-flight units, flushes \
      the cache durably, and exits 0.\n\
      A function resent unchanged since its last compute is replayed from \
-     the cache (zero-dirty); any other cached revision is re-validated \
-     before it is served. --cache off turns off all reuse, the zero-dirty \
-     replay included.\n\
+     the cache (zero-dirty); any other cached revision is checked before it \
+     is served, at every --validate tier. --cache off turns off all reuse, \
+     the zero-dirty replay included.\n\
      --cache-file persists the plan cache (lcm-cache-v1; corrupt files are \
      quarantined to a .corrupt sidecar and the daemon starts cold; a \
-     persisted entry that fails re-validation is dropped and recomputed). \
+     persisted entry that fails its check is dropped and recomputed). \
      The file is rewritten atomically after every request.\n\
      --workers 0 (the default) uses all available cores. --queue-cap \
      bounds admitted-but-unfinished units (0 = unbounded); requests beyond \
@@ -928,7 +930,8 @@ fn watch_usage() -> &'static str {
      Optimizes the module in FILE, then polls it and re-optimizes on every \
      change through the plan cache: a function untouched since its last \
      compute or hit is replayed (zero-dirty), an earlier revision (an \
-     undo) is a re-validated hit, and only new revisions are computed. \
+     undo) is a hit, served once the hash of its output text still \
+     matches, and only new revisions are computed. \
      The cache holds two entries per function, current revisions kept \
      youngest. Output is byte-identical to `lcmopt batch` on the same \
      revision.\n\

@@ -9,8 +9,8 @@ use std::path::PathBuf;
 use lcm::driver::protocol::{read_response, write_request, Request, Response};
 use lcm::driver::serve::{ConnectionEnd, Daemon, ServeOptions};
 use lcm::driver::{
-    fingerprint, load_cache, report, save_cache, BatchEngine, BatchOptions, LifetimeCounters,
-    LoadStatus,
+    fingerprint, load_cache, report, save_cache, BatchEngine, BatchOptions, CacheDisposition,
+    FailureKind, LifetimeCounters, LoadStatus, UnitOutcome,
 };
 use lcm::ir::parse_module;
 
@@ -259,6 +259,56 @@ fn diverging_persisted_entry_is_quarantined_and_recomputed() {
         Some(honest.as_str()),
         "the flushed file must hold the recomputed entry"
     );
+}
+
+#[test]
+fn renamed_header_entry_never_panics() {
+    // A checksum-valid file whose one entry passes the first-principles
+    // check (the body is honest) but cannot be renamed: its output header
+    // is `fn g {`, not the canonical one. Neither surface may panic: batch
+    // fails the unit, the daemon quarantines the entry and recomputes.
+    const THIRD: &str = "fn third {\nentry:\n  z = p + q\n  obs z\n  ret\n}\n";
+    let dir = TempDir::new("renamed-header");
+    let cache_file = dir.0.join("plans.cache");
+    let m = parse_module(THIRD).expect("module parses");
+    let key = fingerprint(m.iter().next().expect("one function")).0;
+    let mut engine = BatchEngine::new(BatchOptions::default());
+    let want = report::render_text(&engine.run_module(&m));
+    let entry = engine.cache_mut().entry_mut(key).expect("computed entry");
+    entry.output_text = entry.output_text.replacen("fn __fn {", "fn g {", 1);
+    let write_file = || {
+        save_cache(&cache_file, engine.cache(), LifetimeCounters::default()).unwrap();
+    };
+
+    write_file();
+    let mut batch = BatchEngine::with_cache_file(BatchOptions::default(), &cache_file);
+    let result = batch.run_module(&m);
+    assert_eq!(result.units[0].cache, CacheDisposition::Hit);
+    let UnitOutcome::Failed(e) = &result.units[0].outcome else {
+        panic!("an unrenamable entry was served");
+    };
+    assert_eq!(e.kind, FailureKind::PoisonedCache);
+
+    write_file();
+    let d = Daemon::start(ServeOptions {
+        workers: 1,
+        cache_file: Some(cache_file.clone()),
+        ..ServeOptions::default()
+    });
+    let mut input = optimize_request(THIRD, 0, 0);
+    write_request(&mut input, &Request::Stats).unwrap();
+    let (responses, _) = roundtrip(&d, &input);
+    assert_eq!(assemble(&responses), want);
+    let Some(Response::Stats { text }) = responses.last() else {
+        panic!("expected trailing STATS, got {responses:?}");
+    };
+    assert!(text.lines().any(|l| l == "panics-contained: 0"), "{text}");
+    assert!(
+        text.lines()
+            .any(|l| l.starts_with("lifetime: ") && l.ends_with(" 1 quarantines")),
+        "{text}"
+    );
+    d.shutdown().unwrap();
 }
 
 #[test]
